@@ -2,8 +2,9 @@
 
 Working representation is trimmed: no trailing zeros, () is the zero
 polynomial.  Moduli are full monic tuples of length degree + 1.  These
-helpers back both the quadratic-extension fields and the internal tower
-fields of the closure evaluator.
+helpers back starfield's FpQuotientField, the one F_p[t]/(modulus) class
+behind both the quadratic-extension fields and the internal tower fields of
+the closure evaluator.
 """
 
 from __future__ import annotations
@@ -153,7 +154,8 @@ def canonical_irreducible(p: int, n: int) -> tuple[int, ...]:
 def eval_int_poly(coeffs, x, field):
     """Evaluate a polynomial with small-int coefficients at a field element.
 
-    field must expose from_int / add / mul; x is a field element payload.
+    field must expose payload_from_int / payload_add / payload_mul; x is a
+    field element payload.
     """
     acc = field.payload_from_int(0)
     for c in reversed(coeffs):

@@ -2,10 +2,13 @@
 
 These carry no conjugation structure (the involution hook is the identity);
 they exist so closure-level evaluation can range over every extension degree,
-not just the even ones the public quadratic fields provide.  Fields and the
-inclusion maps between them are cached and fully deterministic: moduli are
-the canonical lexicographically smallest irreducibles and an inclusion sends
-the generator to the first root in the bigger field's element order.
+not just the even ones the public quadratic fields provide.  Their arithmetic
+is starfield's FpQuotientField, shared with the quadratic fields.  Fields are
+cached and fully deterministic: moduli are the canonical lexicographically
+smallest irreducibles.  An inclusion sends the generator to the first root
+of the small modulus in the bigger field's element order; _generator_image
+is the one cached search for that root, used here by lift and by embed for
+the quadratic fields.
 """
 
 from __future__ import annotations
@@ -16,11 +19,11 @@ from typing import Iterator
 
 from . import _fppoly
 from ._intnum import is_prime
-from .errors import DivisionByZero, NonPrimeCharacteristic
-from .starfield import Element, FieldDescriptor
+from .errors import NonPrimeCharacteristic, NoRootFound
+from .starfield import Element, FpQuotientField
 
 
-class TowerField(FieldDescriptor):
+class TowerField(FpQuotientField):
     """F_p[t]/(canonical irreducible of degree n), identity involution."""
 
     kind = "tower"
@@ -31,54 +34,14 @@ class TowerField(FieldDescriptor):
             raise NonPrimeCharacteristic(f"{p} is not prime")
         if not isinstance(n, int) or n < 1:
             raise ValueError("tower degree must be a positive integer")
-        self.p = p
         self.n = n
-        self.characteristic = p
-        self.order = p**n
-        self.modulus = _fppoly.canonical_irreducible(p, n)
-        self._trim_mod = _fppoly.trim(self.modulus)
-
-    def _pad(self, c: tuple[int, ...]) -> tuple[int, ...]:
-        return c + (0,) * (self.n - len(c))
-
-    def payload_from_int(self, k: int) -> tuple[int, ...]:
-        return self._pad((k % self.p,) if k % self.p else ())
-
-    def payload_canonical(self, raw) -> tuple[int, ...]:
-        if isinstance(raw, (tuple, list)) and all(isinstance(c, int) for c in raw):
-            reduced = _fppoly.mod(_fppoly.trim(tuple(c % self.p for c in raw)), self._trim_mod, self.p)
-            return self._pad(reduced)
-        return super().payload_canonical(raw)
-
-    def payload_add(self, a, b):
-        return tuple((x + y) % self.p for x, y in zip(a, b))
-
-    def payload_neg(self, a):
-        return tuple((-x) % self.p for x in a)
-
-    def payload_mul(self, a, b):
-        return self._pad(_fppoly.mulmod(_fppoly.trim(a), _fppoly.trim(b), self._trim_mod, self.p))
-
-    def payload_inv(self, a):
-        if not _fppoly.trim(a):
-            raise DivisionByZero(f"0 has no inverse in {self.shorthand()}")
-        return self._pad(_fppoly.invmod(_fppoly.trim(a), self._trim_mod, self.p))
+        super().__init__(p, _fppoly.canonical_irreducible(p, n))
 
     def payload_involute(self, a):
         return a
 
-    def payload_parse(self, s: str) -> tuple[int, ...]:
-        raw = _fppoly.parse_poly(s, self.p)
-        return self._pad(_fppoly.mod(raw, self._trim_mod, self.p))
-
-    def payload_format(self, a) -> str:
-        return _fppoly.format_poly(_fppoly.trim(a))
-
-    def payload_sort_key(self, a):
-        return a
-
     def elements(self) -> Iterator[Element]:
-        for tup in itertools.product(range(self.p), repeat=self.n):
+        for tup in itertools.product(range(self.p), repeat=self.degree):
             yield Element(self, tup)
 
     def shorthand(self) -> str:
@@ -87,30 +50,24 @@ class TowerField(FieldDescriptor):
     def to_json(self) -> dict:
         return {"kind": "tower", "p": self.p, "n": self.n, "modulus": list(self.modulus)}
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TowerField) and other.p == self.p and other.n == self.n
-
-    def __hash__(self) -> int:
-        return hash(("tower", self.p, self.n))
-
 
 @functools.lru_cache(maxsize=None)
 def tower_field(p: int, n: int) -> TowerField:
     return TowerField(p, n)
 
 
+def _eval_at(coeffs: tuple[int, ...], x: Element) -> Element:
+    """Evaluate an integer-coefficient polynomial at x inside x's field."""
+    return Element(x.owner, _fppoly.eval_int_poly(coeffs, x.payload, x.owner))
+
+
 @functools.lru_cache(maxsize=None)
-def _generator_image(p: int, n: int, m: int) -> Element:
-    """First root of the degree-n canonical modulus inside F_{p^m}."""
-    small = tower_field(p, n)
-    big = tower_field(p, m)
+def _generator_image(modulus: tuple[int, ...], big: FpQuotientField) -> Element:
+    """First root of an integer modulus among big's elements, in canonical order."""
     for cand in big.elements():
-        acc = big.zero()
-        for c in reversed(small.modulus):
-            acc = acc * cand + big.element(c)
-        if acc.is_zero():
+        if _eval_at(modulus, cand).is_zero():
             return cand
-    raise ArithmeticError(f"degree-{n} modulus has no root in F_{p}^{m}")  # unreachable for n | m
+    raise NoRootFound("small modulus has no root in the extension field")
 
 
 def lift(x: Element, m: int) -> Element:
@@ -121,9 +78,4 @@ def lift(x: Element, m: int) -> Element:
         return x
     if m % small.n:
         raise ValueError(f"F_{small.p}^{small.n} does not embed in F_{small.p}^{m}")
-    big = tower_field(small.p, m)
-    u = _generator_image(small.p, small.n, m)
-    acc = big.zero()
-    for c in reversed(x.payload):
-        acc = acc * u + big.element(c)
-    return acc
+    return _eval_at(x.payload, _generator_image(small.modulus, tower_field(small.p, m)))

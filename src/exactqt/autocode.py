@@ -196,9 +196,17 @@ def fixed_points(phi: SemilinearMap, max_ext: int = 3,
     notes: list[str] = []
     levels_scanned: list[int] = []
     bound_too_small = False
-    found: dict[int, list[StateVector]] = {}
+    # level -> (the field its points live in, their representatives)
+    found: dict[int, tuple[QuadExt, list[StateVector]]] = {}
     points: list[ProjectivePoint] = []
     top_complete = True
+    inclusions: dict = {}
+
+    def include(small: QuadExt, d: int):
+        """Each inclusion is built (root search plus certificate) once per call."""
+        if (small, d) not in inclusions:
+            inclusions[small, d] = _build_inclusion(small, d)
+        return inclusions[small, d]
 
     for m in range(1, max_ext + 1):
         if m % 2 == 0:
@@ -210,7 +218,7 @@ def fixed_points(phi: SemilinearMap, max_ext: int = 3,
                     f"level {m}: skipped, the extended field's conjugation ignores the base "
                     "involution (pass include_form_incompatible to scan it anyway)")
                 continue
-        inc = _build_inclusion(base, m)
+        inc = include(base, m)
         big = inc.big
         mhat = extend_matrix(inc, phi.matrix)
         if phi.twist == 0:
@@ -227,9 +235,9 @@ def fixed_points(phi: SemilinearMap, max_ext: int = 3,
         levels_scanned.append(m)
 
         prior: set[tuple] = set()
-        for k, reps in found.items():
+        for k, (field, reps) in found.items():
             if m % k == 0 and k < m:
-                up = _build_inclusion(QuadExt(base.p, base.e * k), m // k)
+                up = include(field, m // k)
                 assert up.big == big
                 for rep in reps:
                     prior.add(tuple(up(c).payload for c in rep))
@@ -244,7 +252,7 @@ def fixed_points(phi: SemilinearMap, max_ext: int = 3,
                 multiplier=str(lam),
                 form_compatible=m % 2 == 1,
             ))
-        found[m] = fresh
+        found[m] = (big, fresh)
 
     if phi.twist == 0 and not top_complete:
         bound_too_small = True

@@ -12,15 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._fppoly import eval_int_poly
-from .errors import EvenExtensionDegree, NoRootFound, WrongField
+from ._tower import _eval_at, _generator_image
+from .errors import EvenExtensionDegree, WrongField
 from .forms import Matrix, StateVector
 from .starfield import Element, QuadExt
-
-
-def _eval_at(coeffs: tuple[int, ...], x: Element) -> Element:
-    """Evaluate an integer-coefficient polynomial at x inside x's field."""
-    return x.owner.element(eval_int_poly(coeffs, x.payload, x.owner))
 
 
 @dataclass(frozen=True)
@@ -111,9 +106,10 @@ def _build_inclusion(small: QuadExt, m: int) -> FieldEmbedding:
     """Inclusion into the degree-m extension with no involution demand.
 
     The generator is sent to the first root of the small modulus in the big
-    field's canonical element order, except m = 1 where the identity map is
-    the only sensible answer (the smallest root can be a conjugate of t,
-    which would silently twist the field by Frobenius).
+    field's canonical element order (_tower's cached search), except m = 1
+    where the identity map is the only sensible answer (the smallest root
+    can be a conjugate of t, which would silently twist the field by
+    Frobenius).
     """
     if not isinstance(small, QuadExt):
         raise WrongField("embeddings are built between quadratic extension fields")
@@ -123,14 +119,7 @@ def _build_inclusion(small: QuadExt, m: int) -> FieldEmbedding:
         cert = _verify(small, small, lambda x: x)
         return FieldEmbedding(small, small, small.generator(), cert)
     big = QuadExt(small.p, small.e * m)
-    modulus = small.modulus
-    image = None
-    for cand in big.elements():
-        if _eval_at(modulus, cand).is_zero():
-            image = cand
-            break
-    if image is None:
-        raise NoRootFound("small modulus has no root in the extension field")
+    image = _generator_image(small.modulus, big)
     cert = _verify(small, big, lambda x: _eval_at(x.payload, image))
     return FieldEmbedding(small, big, image, cert)
 

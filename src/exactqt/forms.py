@@ -290,8 +290,8 @@ class Polynomial:
                 out[i + j] = out[i + j] + a * b
         return Polynomial(self.owner, out)
 
-    def exact_div(self, other: Polynomial) -> Polynomial:
-        """Division known to be remainder-free (Bareiss guarantees it)."""
+    def _long_division(self, other: Polynomial) -> tuple[list[Element], list[Element]]:
+        """Quotient and remainder coefficient lists (the remainder untrimmed)."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
@@ -305,9 +305,27 @@ class Polynomial:
                 continue
             for j, b in enumerate(other.coeffs):
                 rem[i + j] = rem[i + j] - c * b
+        return quot, rem
+
+    def exact_div(self, other: Polynomial) -> Polynomial:
+        """Division known to be remainder-free (Bareiss guarantees it)."""
+        quot, rem = self._long_division(other)
         if any(not c.is_zero() for c in rem):
             raise ArithmeticError("division was not exact")
         return Polynomial(self.owner, quot)
+
+    def __mod__(self, other: Polynomial) -> Polynomial:
+        return Polynomial(self.owner, self._long_division(other)[1])
+
+    def gcd(self, other: Polynomial) -> Polynomial:
+        """Monic greatest common divisor; zero when both are zero."""
+        a, b = self, other
+        while not b.is_zero():
+            a, b = b, a % b
+        if a.is_zero():
+            return a
+        lead_inv = a.coeffs[-1].inverse()
+        return Polynomial(self.owner, [c * lead_inv for c in a.coeffs])
 
     def __eq__(self, other) -> bool:
         return (

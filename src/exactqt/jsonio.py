@@ -45,8 +45,11 @@ def bipartite_to_json(b: BipartiteState) -> dict:
 
 def _shape(obj) -> tuple[FieldDescriptor, int, int, list]:
     field = parse_field(obj["field"])
-    rows, cols = int(obj["rows"]), int(obj["cols"])
-    entries = obj["entries"]
+    rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
+    if type(rows) is not int or type(cols) is not int:
+        raise ValueError("rows and cols must be integers")
+    if type(entries) is not list or any(type(c) not in (str, int) for c in entries):
+        raise ValueError("entries must be a list of strings and integers")
     if rows < 1 or cols < 1:
         raise ValueError("rows and cols must be positive")
     if len(entries) != rows * cols:

@@ -26,6 +26,7 @@ from fractions import Fraction
 
 from ._tower import lift, tower_field
 from .errors import NotHomogeneous, ParseError
+from .forms import Polynomial
 from .starfield import Element, FieldDescriptor, PrimeField
 
 
@@ -732,43 +733,6 @@ def parse_ternary_polynomial(text: str, field: FieldDescriptor) -> TernaryForm:
     return TernaryForm(field, monomials)
 
 
-def _utrim(coeffs: list[Element]) -> list[Element]:
-    k = len(coeffs)
-    while k and coeffs[k - 1].is_zero():
-        k -= 1
-    return coeffs[:k]
-
-
-def _udivmod(num: list[Element], den: list[Element]):
-    inv = den[-1].inverse()
-    rem = list(num)
-    for top in range(len(rem) - 1, len(den) - 2, -1):
-        factor = rem[top] * inv
-        if factor.is_zero():
-            continue
-        shift = top - (len(den) - 1)
-        for k, d in enumerate(den):
-            rem[shift + k] = rem[shift + k] - factor * d
-    return _utrim(rem)
-
-
-def _ugcd(a: list[Element], b: list[Element]) -> list[Element]:
-    a, b = _utrim(a), _utrim(b)
-    while b:
-        a, b = b, _udivmod(a, b)
-    if a:
-        inv = a[-1].inverse()
-        a = [c * inv for c in a]
-    return a
-
-
-def _ueval(coeffs: list[Element], x: Element) -> Element:
-    total = x.owner.zero()
-    for c in reversed(coeffs):
-        total = total * x + c
-    return total
-
-
 _SQRT_TABLES: dict = {}
 _AS_TABLES: dict = {}
 
@@ -819,19 +783,19 @@ def _quadratic_roots(a: Element, b: Element, c: Element) -> list[Element]:
 
 
 def _smallest_common_root(f1: list[Element], g1: list[Element], field) -> Element | None:
-    f1, g1 = _utrim(f1), _utrim(g1)
-    if not f1 and not g1:
+    f, g = Polynomial(field, f1), Polynomial(field, g1)
+    if f.is_zero() and g.is_zero():
         return field.zero()
-    h = _ugcd(f1, g1)
-    if len(h) <= 1:
+    h = f.gcd(g)
+    if h.degree < 1:
         return None
-    if len(h) == 2:
-        return -h[0]  # monic linear: z + h0
-    if len(h) == 3:
-        roots = _quadratic_roots(h[2], h[1], h[0])
+    if h.degree == 1:
+        return -h.coeffs[0]  # monic linear: z + h0
+    if h.degree == 2:
+        roots = _quadratic_roots(h.coeffs[2], h.coeffs[1], h.coeffs[0])
         return roots[0] if roots else None
     for z in field.elements():
-        if _ueval(h, z).is_zero():
+        if h.evaluate(z).is_zero():
             return z
     return None
 

@@ -27,6 +27,7 @@ from .errors import (
 )
 from .forms import (
     EigenDecomposition,
+    EigenPair,
     Matrix,
     StateVector,
     conj_transpose,
@@ -104,18 +105,34 @@ class MeasurementReport:
         raise ImpossibleOutcome(f"{eigenvalue} is not an eigenvalue")
 
 
-def _full_eigenbasis(obs: Observable) -> list[StateVector]:
-    vectors: list[StateVector] = []
+def _eigen_blocks(obs: Observable, psi: StateVector) -> list[tuple[EigenPair, list[Element]]]:
+    """The checks measure and collapse share, then one solve for psi's
+    coefficients in the full eigenbasis (unique by completeness), split into
+    one block per eigenpair."""
+    if psi.owner != obs.owner:
+        raise FieldMismatch("state and observable live in different fields")
+    if psi.dim != obs.dim:
+        raise DimensionMismatch(f"dim {psi.dim} vs observable dim {obs.dim}")
+    if psi.is_zero():
+        raise ZeroState("states are nonzero vectors")
+    if not obs.complete:
+        raise IncompleteSpectrum("measurement needs a complete eigendecomposition")
+    basis = [v for pair in obs.spectrum.pairs for v in pair.basis]
+    coeffs = list(solve(Matrix.from_columns(obs.owner, basis), psi))
+    blocks, offset = [], 0
     for pair in obs.spectrum.pairs:
-        vectors.extend(pair.basis)
-    return vectors
+        blocks.append((pair, coeffs[offset : offset + pair.dimension]))
+        offset += pair.dimension
+    return blocks
 
 
-def _decompose(obs: Observable, psi: StateVector) -> list[Element]:
-    """Coefficients of psi in the full eigenbasis (unique by completeness)."""
-    basis = _full_eigenbasis(obs)
-    b_matrix = Matrix.from_columns(obs.owner, basis)
-    return list(solve(b_matrix, psi))
+def _project(pair: EigenPair, block: list[Element], dim: int) -> StateVector:
+    """The eigenspace component whose coordinates in pair.basis are block."""
+    owner = pair.value.owner
+    projected = StateVector(owner, [owner.zero()] * dim)
+    for c, v in zip(block, pair.basis):
+        projected = projected + v.scale(c)
+    return projected
 
 
 def _orthogonalize(basis: tuple[StateVector, ...]) -> list[StateVector] | None:
@@ -144,23 +161,9 @@ def measure(obs: Observable, psi: StateVector) -> MeasurementReport:
     basis with c = <b, psi>, or None when orthogonalization hits an
     isotropic pivot.  Weights, when all defined, sum to <psi, psi>.
     """
-    if psi.owner != obs.owner:
-        raise FieldMismatch("state and observable live in different fields")
-    if psi.dim != obs.dim:
-        raise DimensionMismatch(f"dim {psi.dim} vs observable dim {obs.dim}")
-    if psi.is_zero():
-        raise ZeroState("states are nonzero vectors")
-    if not obs.complete:
-        raise IncompleteSpectrum("measurement needs a complete eigendecomposition")
-    coeffs = _decompose(obs, psi)
     outcomes = []
-    offset = 0
-    for pair in obs.spectrum.pairs:
-        block = coeffs[offset : offset + pair.dimension]
-        offset += pair.dimension
-        projected = StateVector(obs.owner, [obs.owner.zero()] * psi.dim)
-        for c, v in zip(block, pair.basis):
-            projected = projected + v.scale(c)
+    for pair, block in _eigen_blocks(obs, psi):
+        projected = _project(pair, block, psi.dim)
         ortho = _orthogonalize(pair.basis)
         weight = None
         if ortho is not None:
@@ -180,26 +183,11 @@ def collapse(obs: Observable, psi: StateVector, eigenvalue: Element) -> StateVec
     Idempotent on its outcome: collapsing the result on the same eigenvalue
     returns the identical vector, hence the same projective point.
     """
-    if psi.owner != obs.owner:
-        raise FieldMismatch("state and observable live in different fields")
-    if psi.dim != obs.dim:
-        raise DimensionMismatch(f"dim {psi.dim} vs observable dim {obs.dim}")
-    if psi.is_zero():
-        raise ZeroState("states are nonzero vectors")
-    if not obs.complete:
-        raise IncompleteSpectrum("collapse projects along the full eigenbasis")
-    target = next((p for p in obs.spectrum.pairs if p.value == eigenvalue), None)
+    target = next(((pair, block) for pair, block in _eigen_blocks(obs, psi)
+                   if pair.value == eigenvalue), None)
     if target is None:
         raise ImpossibleOutcome(f"{eigenvalue} is not an eigenvalue of the observable")
-    coeffs = _decompose(obs, psi)
-    offset = 0
-    projected = StateVector(obs.owner, [obs.owner.zero()] * psi.dim)
-    for pair in obs.spectrum.pairs:
-        block = coeffs[offset : offset + pair.dimension]
-        offset += pair.dimension
-        if pair.value == eigenvalue:
-            for c, v in zip(block, pair.basis):
-                projected = projected + v.scale(c)
+    projected = _project(*target, psi.dim)
     if projected.is_zero():
         raise ImpossibleOutcome(f"state has zero component in eigenspace of {eigenvalue}")
     return projected

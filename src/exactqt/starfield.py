@@ -7,6 +7,10 @@ complex conjugation.  The involution plays the role complex conjugation
 plays in ordinary quantum mechanics; fields where it degenerates to the
 identity are called improper and refuse conjugation-specific requests.
 
+The F_p[t]/(modulus) arithmetic is written once, in FpQuotientField;
+QuadExt and the internal tower fields of the closure evaluator both extend
+it and add only their checks, involution, naming and enumeration.
+
 All values are immutable and every operation is exact; nothing in this
 module (or the package) touches floating point.
 """
@@ -226,39 +230,21 @@ class PrimeField(FieldDescriptor):
         return hash(("prime", self.p))
 
 
-class QuadExt(FieldDescriptor):
-    """F_{q^2} with q = p^e, as F_p[t]/(modulus), involution x -> x^q.
+class FpQuotientField(FieldDescriptor):
+    """F_p[t]/(modulus) on coefficient tuples of length degree, low degree first.
 
-    The modulus defaults to the lexicographically smallest monic irreducible
-    polynomial of degree 2e over F_p (coefficient tuples compared low degree
-    first), which pins down a canonical field for each (p, e).
+    The arithmetic, text form and element order shared by QuadExt and the
+    tower fields; subclasses add their checks, involution, naming and element
+    enumeration.  Two fields are equal when type, p and modulus agree.
     """
 
-    kind = "quadext"
-    involution_order = 2
-
-    def __init__(self, p: int, e: int, modulus: tuple[int, ...] | None = None):
-        if not isinstance(p, int) or not is_prime(p):
-            raise NonPrimeCharacteristic(f"{p} is not prime")
-        if not isinstance(e, int) or e < 1:
-            raise ValueError("extension parameter e must be a positive integer")
+    def __init__(self, p: int, modulus: tuple[int, ...]):
         self.p = p
-        self.e = e
-        self.q = p**e
-        self.degree = 2 * e
         self.characteristic = p
-        self.order = self.q * self.q
-        if modulus is None:
-            self.modulus = _fppoly.canonical_irreducible(p, self.degree)
-        else:
-            mod = tuple(int(c) % p for c in modulus)
-            if len(mod) != self.degree + 1 or mod[-1] != 1:
-                raise ValueError(f"modulus must be monic of degree {self.degree}")
-            if not _fppoly.is_irreducible(_fppoly.trim(mod), p):
-                raise ReducibleModulus(f"{list(mod)} is reducible over F_{p}")
-            self.modulus = mod
-        self._trim_mod = _fppoly.trim(self.modulus)
-        self._fixed_cache: tuple[Element, ...] | None = None
+        self.modulus = modulus
+        self.degree = len(modulus) - 1
+        self.order = p**self.degree
+        self._trim_mod = _fppoly.trim(modulus)
 
     def _pad(self, c: tuple[int, ...]) -> tuple[int, ...]:
         return c + (0,) * (self.degree - len(c))
@@ -286,9 +272,6 @@ class QuadExt(FieldDescriptor):
             raise DivisionByZero(f"0 has no inverse in {self.shorthand()}")
         return self._pad(_fppoly.invmod(_fppoly.trim(a), self._trim_mod, self.p))
 
-    def payload_involute(self, a):
-        return self._pad(_fppoly.powmod(_fppoly.trim(a), self.q, self._trim_mod, self.p))
-
     def payload_parse(self, s: str) -> tuple[int, ...]:
         raw = _fppoly.parse_poly(s, self.p)
         return self._pad(_fppoly.mod(raw, self._trim_mod, self.p))
@@ -298,6 +281,45 @@ class QuadExt(FieldDescriptor):
 
     def payload_sort_key(self, a):
         return a
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and other.p == self.p and other.modulus == self.modulus
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.p, self.modulus))
+
+
+class QuadExt(FpQuotientField):
+    """F_{q^2} with q = p^e, as F_p[t]/(modulus), involution x -> x^q.
+
+    The modulus defaults to the lexicographically smallest monic irreducible
+    polynomial of degree 2e over F_p (coefficient tuples compared low degree
+    first), which pins down a canonical field for each (p, e).
+    """
+
+    kind = "quadext"
+    involution_order = 2
+
+    def __init__(self, p: int, e: int, modulus: tuple[int, ...] | None = None):
+        if not isinstance(p, int) or not is_prime(p):
+            raise NonPrimeCharacteristic(f"{p} is not prime")
+        if not isinstance(e, int) or e < 1:
+            raise ValueError("extension parameter e must be a positive integer")
+        self.e = e
+        self.q = p**e
+        if modulus is None:
+            modulus = _fppoly.canonical_irreducible(p, 2 * e)
+        else:
+            modulus = tuple(int(c) % p for c in modulus)
+            if len(modulus) != 2 * e + 1 or modulus[-1] != 1:
+                raise ValueError(f"modulus must be monic of degree {2 * e}")
+            if not _fppoly.is_irreducible(_fppoly.trim(modulus), p):
+                raise ReducibleModulus(f"{list(modulus)} is reducible over F_{p}")
+        super().__init__(p, modulus)
+        self._fixed_cache: tuple[Element, ...] | None = None
+
+    def payload_involute(self, a):
+        return self._pad(_fppoly.powmod(_fppoly.trim(a), self.q, self._trim_mod, self.p))
 
     def generator(self) -> Element:
         """The class of t, the canonical element outside the fixed field."""
@@ -318,17 +340,6 @@ class QuadExt(FieldDescriptor):
 
     def to_json(self) -> dict:
         return {"kind": "quadext", "p": self.p, "e": self.e, "modulus": list(self.modulus)}
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, QuadExt)
-            and other.p == self.p
-            and other.e == self.e
-            and other.modulus == self.modulus
-        )
-
-    def __hash__(self) -> int:
-        return hash(("quadext", self.p, self.e, self.modulus))
 
 
 class GaussianRationals(FieldDescriptor):

@@ -169,19 +169,23 @@ def test_form_incompatible_levels_opt_in():
 
 
 def test_fixed_points_deduplicates_transported_points():
-    phi = SemilinearMap(Matrix.identity(F9, 2), 0)
-    report = fixed_points(phi, max_ext=3)
-    level1 = [pt for pt in report.points if pt.level == 1]
-    level3 = [pt for pt in report.points if pt.level == 3]
-    # identity fixes all of P^1: 4 points over F_9, 91 - 10 lifted... the
-    # level-3 list must not repeat any transported level-1 representative
-    assert len(level1) == (81 - 1) // (9 - 1)
     from exactqt import build_embedding
 
-    emb = build_embedding(F9, 3)
-    transported = {tuple(str(emb(F9.element(c))) for c in pt.coordinates)
-                   for pt in level1}
-    assert transported.isdisjoint({pt.coordinates for pt in level3})
+    # F_9 as F_3[t]/(t^2 + 1), then as F_3[t]/(t^2 + 2t + 2), a non-canonical modulus.
+    # The linear identity fixes all of P^1: 10 points over F_9 and 730 - 10
+    # new ones over F_729.  Its antilinear twin fixes the 4 points with
+    # conj(psi) proportional to psi, then 28 - 4 new ones at level 3.
+    for field in (F9, QuadExt(3, 1, modulus=(2, 2, 1))):
+        for twist, counts in ((0, (10, 720)), (1, (4, 24))):
+            report = fixed_points(SemilinearMap(Matrix.identity(field, 2), twist), max_ext=3)
+            level1 = [pt for pt in report.points if pt.level == 1]
+            level3 = [pt for pt in report.points if pt.level == 3]
+            assert (len(level1), len(level3)) == counts
+            # the level-3 list must not repeat any transported level-1 representative
+            emb = build_embedding(field, 3)
+            transported = {tuple(str(emb(field.element(c))) for c in pt.coordinates)
+                           for pt in level1}
+            assert transported.isdisjoint({pt.coordinates for pt in level3})
 
 
 def test_singular_matrix_rejected():

@@ -216,17 +216,19 @@ def test_curves_meet(capsys):
 
 def test_fixpoints(capsys, tmp_path):
     blob = tmp_path / "map.json"
-    blob.write_text(dumps_canonical({
-        "field": {"kind": "quadext", "p": 3, "e": 1, "modulus": [1, 0, 1]},
-        "rows": 2, "cols": 2,
-        "entries": ["1", "0", "0", "1"],
-        "aut_exponent": 1,
-    }))
-    code, doc = run_cli(capsys, "fixpoints", "--map", str(blob), "--max-ext", "3")
-    assert code == 0
-    assert doc["twist"] == 1
-    assert len(doc["points"]) == 28
-    assert doc["scan_limit"] >= 1000
+    # the canonical F_9 modulus t^2 + 1, then t^2 + 2t + 2, which is not canonical
+    for modulus in ([1, 0, 1], [2, 2, 1]):
+        blob.write_text(dumps_canonical({
+            "field": {"kind": "quadext", "p": 3, "e": 1, "modulus": modulus},
+            "rows": 2, "cols": 2,
+            "entries": ["1", "0", "0", "1"],
+            "aut_exponent": 1,
+        }))
+        code, doc = run_cli(capsys, "fixpoints", "--map", str(blob), "--max-ext", "3")
+        assert code == 0
+        assert doc["twist"] == 1
+        assert len(doc["points"]) == 28
+        assert doc["scan_limit"] >= 1000
 
 
 def test_fixpoints_requires_aut_exponent(capsys):
@@ -253,6 +255,20 @@ def test_bad_json_input_exits_one(capsys, tmp_path):
     code, doc = run_cli(capsys, "schmidt", "--state", str(blob))
     assert code == 1
     assert "error" in doc
+
+
+@pytest.mark.parametrize("shape", [
+    {"rows": 2, "cols": 1, "entries": "34"},
+    {"rows": 2.9, "cols": 1, "entries": ["3", "4"]},
+    {"rows": 2, "cols": True, "entries": ["3", "4"]},
+    {"rows": "2", "cols": 1, "entries": ["3", "4"]},
+    {"rows": 2, "cols": 1, "entries": ["3", False]},
+])
+def test_wire_shape_is_strict(capsys, shape):
+    left = json.dumps({"field": "prime:5", **shape})
+    code, doc = run_cli(capsys, "form", "--left", left, "--right", "1,1", "--field", "prime:5")
+    assert code == 1
+    assert doc["error"]["type"] == "ValueError"
 
 
 def test_matrix_json_wire_round_trip(capsys, tmp_path):

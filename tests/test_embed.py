@@ -15,6 +15,7 @@ from exactqt import (
     herm_form,
     involute,
 )
+from exactqt._tower import lift, tower_field
 from exactqt.errors import EvenExtensionDegree, WrongField
 from exactqt.sampling import random_state
 
@@ -72,6 +73,12 @@ def test_generator_image_is_lex_smallest_root():
     earlier = [x for x in big.elements()
                if x.sort_key() < img.sort_key() and (x * x + big.one()).is_zero()]
     assert earlier == []
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_lift_and_embedding_send_generator_to_same_root(p):
+    t = tower_field(p, 2).element((0, 1))
+    assert lift(t, 6).payload == build_embedding(QuadExt(p, 1), 3).generator_image.payload
 
 
 def test_form_preserved_under_extension():

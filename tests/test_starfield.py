@@ -17,6 +17,7 @@ from exactqt import (
     make_field,
     parse_field,
 )
+from exactqt._tower import TowerField
 from exactqt.errors import (
     DivisionByZero,
     NonPrimeCharacteristic,
@@ -155,6 +156,26 @@ def test_cross_field_operations_rejected():
         F9.element(1) + F25.element(1)
     with pytest.raises(FieldMismatch):
         F9.element(1) * QI.one()
+
+
+@given(st.data())
+def test_quadext_and_tower_field_share_arithmetic(data):
+    # QuadExt(p, e) and TowerField(p, 2e) are the same F_p[t]/(f) with the same
+    # canonical f, so every payload agrees; the fields stay distinct types.
+    p, e = data.draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1)]))
+    quad, tower = QuadExt(p, e), TowerField(p, 2 * e)
+    payloads = st.tuples(*[st.integers(0, p - 1)] * (2 * e))
+    a, b = data.draw(payloads), data.draw(payloads)
+    qa, qb, ta, tb = quad.element(a), quad.element(b), tower.element(a), tower.element(b)
+    assert (qa + qb).payload == (ta + tb).payload
+    assert (qa * qb).payload == (ta * tb).payload
+    if not qa.is_zero():
+        assert qa.inverse().payload == ta.inverse().payload
+    assert str(qa) == str(ta)
+    assert quad.element(str(ta)).payload == tower.element(str(qa)).payload == a
+    assert quad != tower
+    with pytest.raises(FieldMismatch):
+        qa + ta
 
 
 def test_element_text_round_trip():
