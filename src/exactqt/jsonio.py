@@ -75,4 +75,6 @@ def bipartite_from_json(obj: dict) -> BipartiteState:
     dims = obj.get("dims")
     if not (isinstance(dims, (list, tuple)) and len(dims) == 2):
         raise ValueError("bipartite states need dims = [d1, d2]")
-    return BipartiteState((int(dims[0]), int(dims[1])), v)
+    if any(type(d) is not int for d in dims):
+        raise ValueError("dims must be integers")
+    return BipartiteState(tuple(dims), v)

@@ -2,13 +2,14 @@
 
 The language has terms built from variables, nonnegative integer literals,
 +, - and *, atomic equalities, the connectives ! & |, and quantifiers
-written "E x . body" and "A x . body".  eval_finite brute-forces a sentence
-over any finite field.  eval_closure approximates truth over the algebraic
-closure of F_p: a quantifier whose ambient field has degree n may range
-over any extension of relative degree d = 1..max_level, moving the ambient
-up to degree n*d, capped by ambient_bound.  The result is three-valued,
-with Unknown whenever the search was cut off by a bound or an inner
-Unknown before a decisive answer appeared.
+written "E x . body" and "A x . body".  Both evaluators run one quantifier
+search.  eval_finite brute-forces a sentence over any finite field.
+eval_closure approximates truth over the algebraic closure of F_p: a
+quantifier whose ambient field has degree n may range over any extension
+of relative degree d = 1..max_level, moving the ambient up to degree n*d,
+capped by ambient_bound.  The result is three-valued, with Unknown
+whenever the search was cut off by a bound or an inner Unknown before a
+decisive answer appeared.
 
 A decisive answer is promoted to a certified one exactly when finite search
 proves it for the full closure: value True with every quantifier effectively
@@ -27,7 +28,7 @@ from fractions import Fraction
 from ._tower import lift, tower_field
 from .errors import NotHomogeneous, ParseError
 from .forms import Polynomial
-from .starfield import Element, FieldDescriptor, PrimeField
+from .starfield import Element, FieldDescriptor, PrimeField, _preimage_table
 
 
 @dataclass(frozen=True)
@@ -235,10 +236,8 @@ def _all_names(formula) -> set[str]:
     return {formula.var} | _all_names(formula.body)
 
 
-def _unique_binders(formula):
-    """Rename any re-bound variable so each quantifier binds a fresh name."""
-    used: set[str] = set()
-    taken = _all_names(formula)
+def _rename_binders(formula, fresh):
+    """Rebind each quantifier to fresh(its name), renaming its bound occurrences."""
 
     def walk(node, env):
         if isinstance(node, Var):
@@ -249,7 +248,18 @@ def _unique_binders(formula):
             return type(node)(walk(node.left, env), walk(node.right, env))
         if isinstance(node, Not):
             return Not(walk(node.body, env))
-        name = node.var
+        new = fresh(node.var)
+        return type(node)(new, walk(node.body, {**env, node.var: new}))
+
+    return walk(formula, {})
+
+
+def _unique_binders(formula):
+    """Rename any re-bound variable so each quantifier binds a fresh name."""
+    used: set[str] = set()
+    taken = _all_names(formula)
+
+    def fresh(name: str) -> str:
         if name in used:
             k = 0
             while f"{name}{k}" in taken:
@@ -257,9 +267,9 @@ def _unique_binders(formula):
             name = f"{name}{k}"
         used.add(name)
         taken.add(name)
-        return type(node)(name, walk(node.body, {**env, node.var: name}))
+        return name
 
-    return walk(formula, {})
+    return _rename_binders(formula, fresh)
 
 
 def parse_sentence(text: str):
@@ -330,25 +340,13 @@ def alpha_rename(formula, prefix: str = "v"):
     free = free_variables(formula)
     counter = itertools.count()
 
-    def fresh() -> str:
+    def fresh(_name: str) -> str:
         while True:
             cand = f"{prefix}{next(counter)}"
             if cand not in free:
                 return cand
 
-    def walk(node, env):
-        if isinstance(node, Var):
-            return Var(env.get(node.name, node.name))
-        if isinstance(node, Lit):
-            return node
-        if isinstance(node, (Add, Sub, Mul, Eq, And, Or)):
-            return type(node)(walk(node.left, env), walk(node.right, env))
-        if isinstance(node, Not):
-            return Not(walk(node.body, env))
-        new = fresh()
-        return type(node)(new, walk(node.body, {**env, node.var: new}))
-
-    return walk(formula, {})
+    return _rename_binders(formula, fresh)
 
 
 def expand_literals(formula):
@@ -395,32 +393,68 @@ def _eval_term(t, env: dict, field: FieldDescriptor) -> Element:
     return a * b
 
 
-def _require_closed(formula):
-    free = free_variables(formula)
+def _closed_sentence(sentence):
+    """Parse sentence if it is text, and reject free variables."""
+    if isinstance(sentence, str):
+        sentence = parse_sentence(sentence)
+    free = free_variables(sentence)
     if free:
         raise ValueError(f"sentence has free variables: {', '.join(sorted(free))}")
+    return sentence
+
+
+def _search(sentence, field_at, extensions):
+    """The one quantifier search: (value, witness, level), value None for Unknown.
+
+    field_at(n) is the field at ambient degree n; extensions(n) returns the
+    ambient degrees a quantifier at degree n ranges over, and whether a
+    bound cut any of them off.  Outer values are lifted when a quantifier
+    moves to a bigger ambient field.
+    """
+
+    def ev(f, env: dict, ambient: int):
+        if isinstance(f, Eq):
+            fld = field_at(ambient)
+            return _eval_term(f.left, env, fld) == _eval_term(f.right, env, fld), {}, ambient
+        if isinstance(f, Not):
+            v, w, lvl = ev(f.body, env, ambient)
+            return (None if v is None else not v), w, lvl
+        if isinstance(f, (And, Or)):
+            decisive = isinstance(f, Or)  # the value that short-circuits
+            lv, lw, ll = ev(f.left, env, ambient)
+            if lv is decisive:
+                return lv, lw, ll
+            rv, rw, rl = ev(f.right, env, ambient)
+            if rv is decisive:
+                return rv, rw, rl
+            if lv is None or rv is None:
+                return None, None, None
+            return (not decisive), {**lw, **rw}, max(ll, rl)
+        hunting = isinstance(f, Exists)  # the decisive value for this quantifier
+        ambients, blocked = extensions(ambient)
+        saw_unknown = False
+        survivor_level = ambient
+        for m in ambients:
+            env_m = env if m == ambient else {k: lift(v, m) for k, v in env.items()}
+            for x in field_at(m).elements():
+                v, w, lvl = ev(f.body, {**env_m, f.var: x}, m)
+                if v is hunting:
+                    return v, {f.var: str(x), **w}, max(m, lvl)
+                if v is None:
+                    saw_unknown = True
+                else:
+                    survivor_level = max(survivor_level, lvl)
+        if blocked or saw_unknown:
+            return None, None, None
+        return (not hunting), {}, survivor_level
+
+    return ev(sentence, {}, 1)
 
 
 def eval_finite(sentence, field: FieldDescriptor) -> bool:
     """Brute-force truth value over one finite field."""
-    if isinstance(sentence, str):
-        sentence = parse_sentence(sentence)
-    _require_closed(sentence)
-
-    def ev(f, env) -> bool:
-        if isinstance(f, Eq):
-            return _eval_term(f.left, env, field) == _eval_term(f.right, env, field)
-        if isinstance(f, Not):
-            return not ev(f.body, env)
-        if isinstance(f, And):
-            return ev(f.left, env) and ev(f.right, env)
-        if isinstance(f, Or):
-            return ev(f.left, env) or ev(f.right, env)
-        if isinstance(f, Exists):
-            return any(ev(f.body, {**env, f.var: x}) for x in field.elements())
-        return all(ev(f.body, {**env, f.var: x}) for x in field.elements())
-
-    return ev(sentence, {})
+    sentence = _closed_sentence(sentence)
+    return _search(sentence, lambda n: field, lambda n: ([n], False))[0]
 
 
 @dataclass(frozen=True)
@@ -484,57 +518,17 @@ def eval_closure(sentence, p: int, max_level: int = 2, ambient_bound: int = 4) -
     skipped, and any skip makes a non-decisive answer Unknown instead of
     False/True.
     """
-    if isinstance(sentence, str):
-        sentence = parse_sentence(sentence)
-    _require_closed(sentence)
+    sentence = _closed_sentence(sentence)
     if max_level < 1 or ambient_bound < 1:
         raise ValueError("max_level and ambient_bound must be positive")
     tower_field(p, 1)  # validates p
     sentence = _strip_vacuous(sentence)
 
-    def ev(f, env: dict, ambient: int):
-        # returns (value True/False/None, witness dict or None, level or None)
-        if isinstance(f, Eq):
-            fld = tower_field(p, ambient)
-            same = _eval_term(f.left, env, fld) == _eval_term(f.right, env, fld)
-            return same, {}, ambient
-        if isinstance(f, Not):
-            v, w, lvl = ev(f.body, env, ambient)
-            return (None if v is None else not v), w, lvl
-        if isinstance(f, (And, Or)):
-            decisive = isinstance(f, Or)  # the value that short-circuits
-            lv, lw, ll = ev(f.left, env, ambient)
-            if lv is decisive:
-                return lv, lw, ll
-            rv, rw, rl = ev(f.right, env, ambient)
-            if rv is decisive:
-                return rv, rw, rl
-            if lv is None or rv is None:
-                return None, None, None
-            return (not decisive), {**lw, **rw}, max(ll, rl)
-        hunting = isinstance(f, Exists)  # the decisive value for this quantifier
-        ambients = [ambient * d for d in range(1, max_level + 1)]
-        blocked = any(m > ambient_bound for m in ambients)
-        saw_unknown = False
-        survivor_level = ambient
-        for m in ambients:
-            if m > ambient_bound:
-                continue
-            fld = tower_field(p, m)
-            env_m = env if m == ambient else {k: lift(v, m) for k, v in env.items()}
-            for x in fld.elements():
-                v, w, lvl = ev(f.body, {**env_m, f.var: x}, m)
-                if v is hunting:
-                    return v, {f.var: str(x), **w}, max(m, lvl)
-                if v is None:
-                    saw_unknown = True
-                else:
-                    survivor_level = max(survivor_level, lvl)
-        if blocked or saw_unknown:
-            return None, None, None
-        return (not hunting), {}, survivor_level
+    def extensions(n: int):
+        ambients = [n * d for d in range(1, max_level + 1)]
+        return [m for m in ambients if m <= ambient_bound], ambients[-1] > ambient_bound
 
-    value, witness, level = ev(sentence, {}, 1)
+    value, witness, level = _search(sentence, lambda n: tower_field(p, n), extensions)
     flags = _effective_existential_flags(sentence)
     certified = (value is True and all(flags)) or (value is False and not any(flags))
     if value is None:
@@ -603,9 +597,7 @@ def lefschetz_sample(sentence, primes=(2, 3, 5, 7, 11, 13, 17, 19, 23, 29),
     algebraically closed fields of characteristic zero; disagreement or a
     total lack of certificates leaves the conjecture empty.
     """
-    if isinstance(sentence, str):
-        sentence = parse_sentence(sentence)
-    _require_closed(sentence)
+    sentence = _closed_sentence(sentence)
     ps = sorted(set(primes))
     if not ps:
         raise ValueError("at least one prime is required")
@@ -737,28 +729,6 @@ _SQRT_TABLES: dict = {}
 _AS_TABLES: dict = {}
 
 
-def _sqrt_table(field: FieldDescriptor) -> dict:
-    """payload of a square -> its first square root in element order."""
-    tbl = _SQRT_TABLES.get(field)
-    if tbl is None:
-        tbl = {}
-        for x in field.elements():
-            tbl.setdefault((x * x).payload, x)
-        _SQRT_TABLES[field] = tbl
-    return tbl
-
-
-def _artin_schreier_table(field: FieldDescriptor) -> dict:
-    """Characteristic 2 only: payload of w^2 + w -> the first such w."""
-    tbl = _AS_TABLES.get(field)
-    if tbl is None:
-        tbl = {}
-        for w in field.elements():
-            tbl.setdefault((w * w + w).payload, w)
-        _AS_TABLES[field] = tbl
-    return tbl
-
-
 def _quadratic_roots(a: Element, b: Element, c: Element) -> list[Element]:
     """All roots of a z^2 + b z + c (a nonzero), in canonical order."""
     field = a.owner
@@ -766,7 +736,8 @@ def _quadratic_roots(a: Element, b: Element, c: Element) -> list[Element]:
         if b.is_zero():
             # squaring is a bijection, so z^2 = u has the single root u^(q/2)
             return [(c / a) ** (field.order // 2)]
-        shift = _artin_schreier_table(field).get(((a * c) / (b * b)).payload)
+        shift = _preimage_table(_AS_TABLES, field, lambda w: w * w + w).get(
+            ((a * c) / (b * b)).payload, [None])[0]
         if shift is None:
             return []
         scale = b / a
@@ -774,7 +745,7 @@ def _quadratic_roots(a: Element, b: Element, c: Element) -> list[Element]:
     else:
         four = field.element(4)
         disc = b * b - four * a * c
-        s = _sqrt_table(field).get(disc.payload)
+        s = _preimage_table(_SQRT_TABLES, field, lambda x: x * x).get(disc.payload, [None])[0]
         if s is None:
             return []
         half = (field.element(2) * a).inverse()
@@ -793,11 +764,9 @@ def _smallest_common_root(f1: list[Element], g1: list[Element], field) -> Elemen
         return -h.coeffs[0]  # monic linear: z + h0
     if h.degree == 2:
         roots = _quadratic_roots(h.coeffs[2], h.coeffs[1], h.coeffs[0])
-        return roots[0] if roots else None
-    for z in field.elements():
-        if h.evaluate(z).is_zero():
-            return z
-    return None
+    else:
+        roots = h.roots()
+    return roots[0] if roots else None
 
 
 def _specialize_x0_y1(mono: dict, field, degree: int) -> list[Element]:

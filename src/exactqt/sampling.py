@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 
 from .forms import Matrix, StateVector, conj_transpose, rank
-from .starfield import Element, FieldDescriptor, GaussianRationals, QuadExt
+from .starfield import Element, FieldDescriptor, GaussianRationals, QuadExt, _preimage_table
 
 # (a, b, c) with a^2 + b^2 = c^2: the source of Q(i) elements of norm a^2/c^2
 _TRIPLES = ((3, 4, 5), (5, 12, 13), (8, 15, 17), (20, 21, 29))
@@ -31,13 +31,6 @@ def random_element(rng: random.Random, field: FieldDescriptor) -> Element:
     if isinstance(field, QuadExt):
         return field.element(tuple(rng.randrange(field.p) for _ in range(field.degree)))
     return field.element(rng.randrange(field.p))
-
-
-def random_nonzero(rng: random.Random, field: FieldDescriptor) -> Element:
-    while True:
-        x = random_element(rng, field)
-        if not x.is_zero():
-            return x
 
 
 def random_state(rng: random.Random, field: FieldDescriptor, dim: int) -> StateVector:
@@ -103,21 +96,14 @@ def norm_one_elements(field: FieldDescriptor) -> list[Element]:
             for re, im in ((a, b), (a, -b), (-a, b), (-a, -b), (b, a), (b, -a), (-b, a), (-b, -a)):
                 out.append(field.element((Fraction(re, c), Fraction(im, c))))
     else:
-        one = field.one()
-        out = [x for x in field.elements() if x.conj() * x == one]
+        out = _norm_table(field)[field.one().payload]
     _NORM_ONE[field] = out
     return out
 
 
-def _norm_table(field: QuadExt) -> dict:
+def _norm_table(field: FieldDescriptor) -> dict:
     """fixed payload s -> all x with x^gamma x = s, in canonical order."""
-    tbl = _NORM_TABLES.get(field)
-    if tbl is None:
-        tbl = {}
-        for x in field.elements():
-            tbl.setdefault((x.conj() * x).payload, []).append(x)
-        _NORM_TABLES[field] = tbl
-    return tbl
+    return _preimage_table(_NORM_TABLES, field, lambda x: x.conj() * x)
 
 
 def norm_split(rng: random.Random, field: FieldDescriptor) -> tuple[Element, Element]:

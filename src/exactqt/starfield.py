@@ -527,3 +527,14 @@ def fixed_field_coordinates(x: Element) -> tuple[Element, Element]:
     b = (x - x.conj()) / denom
     a = x - kappa * b
     return a, b
+
+
+def _preimage_table(cache: dict, field: FieldDescriptor, fn) -> dict:
+    """payload of fn(x) -> every such x in element order, built once per field."""
+    tbl = cache.get(field)
+    if tbl is None:
+        tbl = {}
+        for x in field.elements():
+            tbl.setdefault(fn(x).payload, []).append(x)
+        cache[field] = tbl
+    return tbl

@@ -271,6 +271,15 @@ def test_wire_shape_is_strict(capsys, shape):
     assert doc["error"]["type"] == "ValueError"
 
 
+@pytest.mark.parametrize("dims", [[2.7, "2"], [True, 2]])
+def test_bipartite_dims_are_strict(capsys, dims):
+    state = json.dumps({"field": "prime:5", "rows": 4, "cols": 1,
+                        "entries": ["1", "0", "0", "1"], "dims": dims})
+    code, doc = run_cli(capsys, "schmidt", "--state", state)
+    assert code == 1
+    assert doc["error"]["type"] == "ValueError"
+
+
 def test_matrix_json_wire_round_trip(capsys, tmp_path):
     F9 = QuadExt(3, 1)
     doc = vector_to_json(StateVector(F9, ["1", "2t"]))

@@ -9,6 +9,7 @@ import pytest
 from exactqt import (
     GaussianRationals,
     Matrix,
+    Polynomial,
     PrimeField,
     QuadExt,
     StateVector,
@@ -24,6 +25,7 @@ from exactqt import (
     rank,
     solve,
 )
+from exactqt._tower import tower_field
 from exactqt.errors import DimensionMismatch, FieldMismatch, Inconsistent, NonSquare
 from exactqt.sampling import (
     random_hermitian,
@@ -197,6 +199,21 @@ def test_eigen_decompose_gaussian_exact():
     dec = eigen_decompose(m)
     assert dec.complete
     assert sorted(str(p.value) for p in dec.pairs) == ["1", "3/2"]
+
+
+def test_polynomial_roots_match_brute_scan():
+    rng = random.Random(31)
+    for field in (F9, tower_field(2, 3)):
+        elems = list(field.elements())
+        for _ in range(20):
+            coeffs = [rng.choice(elems) for _ in range(rng.randint(1, 4))] + [field.one()]
+            poly = Polynomial(field, coeffs)
+            assert poly.roots() == [x for x in elems if poly.evaluate(x).is_zero()]
+    x = Polynomial(QI, [0, 1])
+    planted = (x - Polynomial(QI, ["1+2i"])) * (x + Polynomial(QI, ["3/2"])) * x
+    assert [str(r) for r in planted.roots()] == ["-3/2", "0", "1+2i"]
+    half = Polynomial(QI, ["1/2"]) * planted
+    assert half.roots() == planted.roots()
 
 
 def test_eigen_orthogonality_for_nonconjugate_eigenvalues():

@@ -145,6 +145,15 @@ def test_existential_monotone_along_inclusions():
     assert checked >= 3
 
 
+def test_closure_at_level_one_agrees_with_finite_evaluation():
+    rng = random.Random(83)
+    for p in (2, 3):
+        for _ in range(60):
+            f = _random_sentence(rng)
+            verdict = eval_closure(f, p, max_level=1, ambient_bound=1)
+            assert verdict.value == eval_finite(f, tower_field(p, 1))
+
+
 def test_closure_square_root_of_minus_one():
     sq = parse_sentence("E x . x*x + 1 = 0")
     for p in (2, 3, 5, 7, 11, 13):

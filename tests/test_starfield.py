@@ -15,6 +15,7 @@ from exactqt import (
     involute,
     is_fixed,
     make_field,
+    norm_one_elements,
     parse_field,
 )
 from exactqt._tower import TowerField
@@ -102,6 +103,12 @@ def test_fixed_set_is_index_two_subfield(q, field):
 def test_norm_lands_in_fixed_field(field):
     for x in field.elements():
         assert is_fixed(involute(x) * x)
+
+
+@pytest.mark.parametrize("field", [F9, F16, PrimeField(5)])
+def test_norm_one_elements_are_the_unit_norm_scan(field):
+    scan = [x for x in field.elements() if x.conj() * x == field.one()]
+    assert norm_one_elements(field) == scan
 
 
 def test_gaussian_norm_is_anisotropic():
