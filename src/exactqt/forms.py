@@ -6,9 +6,10 @@ The standard sesquilinear form conjugates the first argument:
 
 char_poly runs a fraction-free Bareiss elimination over the polynomial
 ring, which stays exact in every characteristic; eigenvalues come from
-Polynomial.roots, an exhaustive root scan over finite fields and a divisor
-search on the scaled constant term over Q(i) (so the owner-field spectrum
-is always complete, even when the closure spectrum is not).
+Polynomial.roots, an exhaustive root scan over finite fields and, over Q(i),
+Newton lifting of the squarefree part's roots from an inert prime p = 3
+(mod 4) (so the owner-field spectrum is always complete, even when the
+closure spectrum is not).
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
-from ._gaussint import gaussian_divisors
+from ._gaussint import gaussian_root_candidates
 from .errors import DimensionMismatch, FieldMismatch, Inconsistent, NonSquare
 from .starfield import Element, FieldDescriptor, GaussianRationals
 
@@ -267,15 +268,24 @@ class Polynomial:
     def roots(self) -> list[Element]:
         """Every root in the owner field, in element order.
 
-        Finite fields are scanned exhaustively.  Over Q(i) the candidates are
-        the Gaussian-integer divisors of the scaled constant term, so the list
-        is complete there too.  The zero polynomial is not accepted.
+        Finite fields are scanned exhaustively.  Over Q(i) the roots of the
+        squarefree part are lifted p-adically from an inert prime p = 3
+        (mod 4), where no two of them collide, so the list is complete there
+        too.  The zero polynomial is not accepted.
         """
+        return list(self._iter_roots())
+
+    def _iter_roots(self) -> Iterator[Element]:
+        """roots() lazily, so a caller that wants the first root stops there."""
         if self.is_zero():
             raise ValueError("every element is a root of the zero polynomial")
         if self.owner.is_finite:
-            return [x for x in self.owner.elements() if self.evaluate(x).is_zero()]
-        return _gaussian_rational_roots(self if self.is_monic() else self._monic())
+            return (x for x in self.owner.elements() if self.evaluate(x).is_zero())
+        return iter(_gaussian_rational_roots(self if self.is_monic() else self._monic()))
+
+    def _derivative(self) -> Polynomial:
+        return Polynomial(self.owner, [self.owner.element(k) * c
+                                       for k, c in enumerate(self.coeffs) if k])
 
     def __add__(self, other: Polynomial) -> Polynomial:
         a, b = self.coeffs, other.coeffs
@@ -516,30 +526,26 @@ def eigen_decompose(m: Matrix) -> EigenDecomposition:
 def _gaussian_rational_roots(cp: Polynomial) -> list[Element]:
     """Every root of cp lying in Q(i); cp is monic with Q(i) coefficients.
 
-    Scaling mu = D*x turns cp into a monic Z[i] polynomial, whose Q(i) roots
-    are Gaussian integers dividing the constant term (Z[i] is integrally
-    closed), so enumerating Gaussian divisors is exhaustive.
+    The squarefree part g = cp / gcd(cp, cp') has the same roots.  Scaling
+    mu = D*x turns g into a monic Z[i] polynomial, whose Q(i) roots are
+    Gaussian integers (Z[i] is integrally closed); _gaussint lifts them
+    from an inert prime, and each candidate is kept only if it is a root.
     """
     f = cp.owner
     assert isinstance(f, GaussianRationals) and cp.is_monic()
-    n = cp.degree
-    if n == 0:
-        return []
-    denoms = [frac.denominator for c in cp.coeffs for frac in c.payload]
+    g = cp.exact_div(cp.gcd(cp._derivative()))
+    n = g.degree
+    denoms = [frac.denominator for c in g.coeffs for frac in c.payload]
     d_scale = math.lcm(*denoms)
     scaled: list[tuple[int, int]] = []
-    for k, c in enumerate(cp.coeffs):
+    for k, c in enumerate(g.coeffs):
         re_s = c.payload[0] * d_scale ** (n - k)
         im_s = c.payload[1] * d_scale ** (n - k)
         assert re_s.denominator == 1 and im_s.denominator == 1
         scaled.append((int(re_s), int(im_s)))
-    roots: set[Element] = set()
-    while len(scaled) > 1 and scaled[0] == (0, 0):
-        roots.add(f.zero())
-        scaled.pop(0)
-    if len(scaled) > 1:
-        for mu in gaussian_divisors(scaled[0]):
-            lam = f.element((Fraction(mu[0], d_scale), Fraction(mu[1], d_scale)))
-            if cp.evaluate(lam).is_zero():
-                roots.add(lam)
+    roots = []
+    for mu in gaussian_root_candidates(scaled):
+        lam = f.element((Fraction(mu[0], d_scale), Fraction(mu[1], d_scale)))
+        if cp.evaluate(lam).is_zero():
+            roots.append(lam)
     return sorted(roots, key=lambda x: x.sort_key())

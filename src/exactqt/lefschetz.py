@@ -129,6 +129,11 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
     return toks
 
 
+# Deeper sentences are refused with a ParseError before Python's own
+# recursion limit is reached, here or in the recursive passes after parsing.
+_MAX_NESTING = 100
+
+
 class _Parser:
     """Recursive descent; the only backtrack point is '(' in atom position,
     which may open either a subformula or a parenthesized term."""
@@ -136,6 +141,19 @@ class _Parser:
     def __init__(self, toks):
         self.toks = toks
         self.i = 0
+        self.depth = 0
+        self.too_deep: ParseError | None = None
+
+    def nested(self, parse, pos: int):
+        """parse() one level deeper: a quantifier body, a '!' or a '('."""
+        if self.depth == _MAX_NESTING:
+            self.too_deep = ParseError(f"nesting deeper than {_MAX_NESTING} levels", pos)
+            raise self.too_deep
+        self.depth += 1
+        try:
+            return parse()
+        finally:
+            self.depth -= 1
 
     def peek(self):
         return self.toks[self.i]
@@ -152,14 +170,14 @@ class _Parser:
         return t
 
     def formula(self):
-        k, v, _ = self.peek()
+        k, v, pos = self.peek()
         if k == "kw" and v in ("E", "A"):
             self.advance()
             name = self.advance()
             if name[0] != "name":
                 raise ParseError("expected a variable name after the quantifier", name[2])
             self.expect(".")
-            body = self.formula()
+            body = self.nested(self.formula, pos)
             return (Exists if v == "E" else Forall)(name[1], body)
         return self.or_f()
 
@@ -178,20 +196,24 @@ class _Parser:
         return f
 
     def not_f(self):
-        if self.peek()[0] == "!":
+        k, _, pos = self.peek()
+        if k == "!":
             self.advance()
-            return Not(self.not_f())
+            return Not(self.nested(self.not_f, pos))
         return self.atom()
 
     def atom(self):
-        if self.peek()[0] == "(":
+        k, _, pos = self.peek()
+        if k == "(":
             save = self.i
             self.advance()
             try:
-                f = self.formula()
+                f = self.nested(self.formula, pos)
                 self.expect(")")
                 return f
-            except ParseError:
+            except ParseError as exc:
+                if exc is self.too_deep:
+                    raise  # a backtrack would only hit the same limit
                 self.i = save
         left = self.term()
         self.expect("=")
@@ -218,7 +240,7 @@ class _Parser:
         if k == "int":
             return Lit(v)
         if k == "(":
-            t = self.term()
+            t = self.nested(self.term, pos)
             self.expect(")")
             return t
         raise ParseError("expected a variable, literal, or parenthesized term", pos)
@@ -764,9 +786,8 @@ def _smallest_common_root(f1: list[Element], g1: list[Element], field) -> Elemen
         return -h.coeffs[0]  # monic linear: z + h0
     if h.degree == 2:
         roots = _quadratic_roots(h.coeffs[2], h.coeffs[1], h.coeffs[0])
-    else:
-        roots = h.roots()
-    return roots[0] if roots else None
+        return roots[0] if roots else None
+    return next(h._iter_roots(), None)
 
 
 def _specialize_x0_y1(mono: dict, field, degree: int) -> list[Element]:

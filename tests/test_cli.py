@@ -177,6 +177,14 @@ def test_lefschetz_eval_parse_error(capsys):
     assert "column 10" in doc["error"]["message"]
 
 
+def test_lefschetz_eval_deep_nesting_is_a_parse_error(capsys):
+    sentence = "E x . " + "(" * 400 + "x = 0" + ")" * 400
+    code, doc = run_cli(capsys, "lefschetz", "eval", "--sentence", sentence, "--p", "2")
+    assert code == 1
+    assert doc["error"]["type"] == "ParseError"
+    assert "column 105" in doc["error"]["message"]
+
+
 def test_lefschetz_sample_range_grammar(capsys):
     code, first = run_cli(capsys, "lefschetz", "sample",
                           "--sentence", "E x . x*x + 1 = 0", "--primes", "2..13")

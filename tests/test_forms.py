@@ -1,10 +1,13 @@
 """Hermitian forms, exact linear algebra, and the eigen kernel."""
 
 import itertools
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from exactqt import (
     GaussianRationals,
@@ -25,6 +28,7 @@ from exactqt import (
     rank,
     solve,
 )
+from exactqt import _gaussint
 from exactqt._tower import tower_field
 from exactqt.errors import DimensionMismatch, FieldMismatch, Inconsistent, NonSquare
 from exactqt.sampling import (
@@ -214,6 +218,84 @@ def test_polynomial_roots_match_brute_scan():
     assert [str(r) for r in planted.roots()] == ["-3/2", "0", "1+2i"]
     half = Polynomial(QI, ["1/2"]) * planted
     assert half.roots() == planted.roots()
+
+
+def _divisor_roots(poly: Polynomial) -> list:
+    """The Q(i) roots of poly by exhaustive search: after scaling mu = D*x to
+    a monic Z[i] polynomial x^k * q, every nonzero root divides q(0)."""
+    poly = poly * Polynomial(QI, [poly.coeffs[-1].inverse()])
+    n = poly.degree
+    d = math.lcm(*(fr.denominator for c in poly.coeffs for fr in c.payload))
+    scaled = [(int(c.payload[0] * d ** (n - k)), int(c.payload[1] * d ** (n - k)))
+              for k, c in enumerate(poly.coeffs)]
+    k0 = next(k for k, c in enumerate(scaled) if c != (0, 0))
+    found = {QI.zero()} if k0 else set()
+    if k0 < n:
+        for a, b in _gaussint.gaussian_divisors(scaled[k0]):
+            lam = QI.element((Fraction(a, d), Fraction(b, d)))
+            if poly.evaluate(lam).is_zero():
+                found.add(lam)
+    return sorted(found, key=lambda r: r.sort_key())
+
+
+def _planted(roots, cofactor=(), lead="1") -> Polynomial:
+    x = Polynomial(QI, [0, 1])
+    poly = Polynomial(QI, [lead]) * Polynomial(QI, list(cofactor) + [1])
+    for r in roots:
+        poly = poly * (x - Polynomial(QI, [r]))
+    return poly
+
+
+_GAUSSIAN_RATIONALS = st.one_of(
+    st.just((0, 0)),
+    st.builds(lambda a, b, d: (Fraction(a, d), Fraction(b, d)),
+              st.integers(-6, 6), st.integers(-6, 6), st.sampled_from((1, 2, 3))))
+
+
+@given(st.data())
+def test_gaussian_roots_match_divisor_oracle(data):
+    roots = data.draw(st.lists(_GAUSSIAN_RATIONALS, min_size=1, max_size=3))
+    roots += data.draw(st.lists(st.sampled_from(roots), max_size=5 - len(roots)))
+    cof_degree = data.draw(st.integers(0, 5 - len(roots)))
+    cofactor = data.draw(st.lists(_GAUSSIAN_RATIONALS, min_size=cof_degree,
+                                  max_size=cof_degree))
+    lead = data.draw(st.sampled_from(("1", "-1/2", "3i")))
+    poly = _planted(roots, cofactor, lead)
+    found = poly.roots()
+    assert found == _divisor_roots(poly)
+    assert {QI.element(r) for r in roots} <= set(found)
+
+
+def test_gaussian_roots_skip_primes_where_roots_collide():
+    # 0 and 21 agree mod 3 and mod 7, so the first usable inert prime is 11
+    poly = _planted(["0", "21"])
+    coeffs = [(int(c.payload[0]), int(c.payload[1])) for c in poly.coeffs]
+    deriv = [(k * a, k * b) for k, (a, b) in enumerate(coeffs)][1:]
+    assert _gaussint._simple_roots_mod(coeffs, deriv, 3) is None
+    assert _gaussint._simple_roots_mod(coeffs, deriv, 7) is None
+    assert _gaussint._simple_roots_mod(coeffs, deriv, 11) == [(0, 0), (10, 0)]
+    assert [str(r) for r in poly.roots()] == ["0", "21"]
+    assert poly.roots() == _divisor_roots(poly)
+
+
+def test_gaussian_roots_lift_through_several_steps():
+    # B = 1 + 2000 + 1998 > 3^4 / 2, so the root is lifted 3 -> 9 -> 81 -> 6561
+    poly = _planted(["1000+999i", "-7/2", "-7/2"])
+    assert [str(r) for r in poly.roots()] == ["-7/2", "1000+999i"]
+    assert poly.roots() == _divisor_roots(poly)
+    assert _gaussint.gaussian_root_candidates([(-1000, -999), (1, 0)]) == [(1000, 999)]
+
+
+def test_generic_gaussian_spectra_within_ceiling():
+    start = time.monotonic()
+    for seed in (0, 1, 2):
+        h = random_hermitian(random.Random(seed), QI, 5)
+        dec = eigen_decompose(h)
+        assert list(dec.eigenvalues) == char_poly(h).roots()
+        for p in dec.pairs:
+            for v in p.basis:
+                assert h @ v == v.scale(p.value)
+    assert time.monotonic() - start <= 5.0
 
 
 def test_eigen_orthogonality_for_nonconjugate_eigenvalues():

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from exactqt import (
+    Polynomial,
     PrimeField,
     QuadExt,
     alpha_rename,
@@ -57,6 +58,20 @@ def test_parse_error_positions():
         parse_sentence("E x . x ? 0")
     with pytest.raises(ParseError):
         parse_sentence("x + ) = 0")
+
+
+def test_parse_refuses_deep_nesting_with_a_column():
+    ok = parse_sentence("E x . " + "(" * 99 + "x = 0" + ")" * 99)
+    assert pretty(ok) == "E x . x = 0"
+    for inner in ("x = 0", "x) = (0"):
+        with pytest.raises(ParseError) as exc:
+            parse_sentence("E x . " + "(" * 400 + inner + ")" * 400)
+        assert exc.value.position == 105
+        assert "column 105" in str(exc.value)
+    with pytest.raises(ParseError):
+        parse_sentence("E x . " + "!" * 400 + "x = 0")
+    with pytest.raises(ParseError):
+        parse_sentence("E x . " * 400 + "x = 0")
 
 
 def test_parse_renames_rebound_variables():
@@ -360,6 +375,20 @@ def naive_projective_scan(f, g, fld):
         if fd.evaluate(*pt).is_zero() and gd.evaluate(*pt).is_zero():
             return tuple(str(c) for c in pt)
     return None
+
+
+def test_curves_meet_cubic_gcd_stops_at_first_root(monkeypatch):
+    calls = []
+    evaluate = Polynomial.evaluate
+
+    def counting(self, x):
+        calls.append(x)
+        return evaluate(self, x)
+
+    monkeypatch.setattr(Polynomial, "evaluate", counting)
+    r = curves_meet(7, "z^3 - x^3", "z^3 - x^3 + y^3", 3)
+    assert (r.meet, r.level, r.point) == (True, 1, ("1", "0", "1"))
+    assert len(calls) == 2
 
 
 def test_curves_meet_exhausted_bound_reports_unknown():
