@@ -3,8 +3,8 @@
 Working representation is trimmed: no trailing zeros, () is the zero
 polynomial.  Moduli are full monic tuples of length degree + 1.  These
 helpers back starfield's FpQuotientField, the one F_p[t]/(modulus) class
-behind both the quadratic-extension fields and the internal tower fields of
-the closure evaluator.
+behind every finite field: the prime fields, the quadratic extensions and
+the internal tower fields of the closure evaluator.
 """
 
 from __future__ import annotations
@@ -165,7 +165,7 @@ def eval_int_poly(coeffs, x, field):
     return acc
 
 
-def format_poly(coeffs: tuple[int, ...], var: str = "t") -> str:
+def format_poly(coeffs: tuple[int, ...]) -> str:
     """Canonical textual form, e.g. (1, 2) -> '1+2t', (0, 0, 1) -> 't^2'."""
     terms = []
     for k, c in enumerate(coeffs):
@@ -175,12 +175,12 @@ def format_poly(coeffs: tuple[int, ...], var: str = "t") -> str:
             terms.append(str(c))
         else:
             head = "" if c == 1 else str(c)
-            power = var if k == 1 else f"{var}^{k}"
+            power = "t" if k == 1 else f"t^{k}"
             terms.append(head + power)
     return "+".join(terms) if terms else "0"
 
 
-def parse_poly(text: str, p: int, var: str = "t") -> tuple[int, ...]:
+def parse_poly(text: str, p: int) -> tuple[int, ...]:
     """Parse '1+2t', 't^2', '2', '-t' style strings into a coefficient tuple."""
     s = text.replace(" ", "")
     if not s:
@@ -198,7 +198,7 @@ def parse_poly(text: str, p: int, var: str = "t") -> tuple[int, ...]:
         term = s[i:j]
         if not term:
             raise ParseError("expected a term", i)
-        coef, k = _parse_term(term, i, var)
+        coef, k = _parse_term(term, i)
         coeffs[k] = coeffs.get(k, 0) + sign * coef
         if j >= len(s):
             break
@@ -208,12 +208,12 @@ def parse_poly(text: str, p: int, var: str = "t") -> tuple[int, ...]:
     return trim(tuple(coeffs.get(k, 0) % p for k in range(n)))
 
 
-def _parse_term(term: str, offset: int, var: str) -> tuple[int, int]:
-    if var not in term:
+def _parse_term(term: str, offset: int) -> tuple[int, int]:
+    if "t" not in term:
         if not term.isdigit():
             raise ParseError(f"bad coefficient {term!r}", offset)
         return int(term), 0
-    head, _, tail = term.partition(var)
+    head, _, tail = term.partition("t")
     if head == "":
         coef = 1
     elif head.isdigit():

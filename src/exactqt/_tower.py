@@ -1,14 +1,14 @@
 """Internal finite fields F_{p^n} of arbitrary degree, plus inclusions.
 
-These carry no conjugation structure (the involution hook is the identity);
-they exist so closure-level evaluation can range over every extension degree,
-not just the even ones the public quadratic fields provide.  Their arithmetic
-is starfield's FpQuotientField, shared with the quadratic fields.  Fields are
-cached and fully deterministic: moduli are the canonical lexicographically
-smallest irreducibles.  An inclusion sends the generator to the first root
-of the small modulus in the bigger field's element order; _generator_image
-is the one cached search for that root, used here by lift and by embed for
-the quadratic fields.
+These carry no conjugation structure (FpQuotientField's identity
+involution); they exist so closure-level evaluation can range over every
+extension degree, not just the even ones the public quadratic fields
+provide.  Their arithmetic is starfield's FpQuotientField, shared with the
+prime and quadratic fields.  Fields are cached and fully deterministic:
+moduli are the canonical lexicographically smallest irreducibles.  An
+inclusion sends the generator to the first root of the small modulus in the
+bigger field's element order; _generator_image is the one cached search for
+that root, used here by lift and by embed for the quadratic fields.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ class TowerField(FpQuotientField):
     """F_p[t]/(canonical irreducible of degree n), identity involution."""
 
     kind = "tower"
-    involution_order = 1
 
     def __init__(self, p: int, n: int):
         if not isinstance(p, int) or not is_prime(p):
@@ -36,9 +35,6 @@ class TowerField(FpQuotientField):
             raise ValueError("tower degree must be a positive integer")
         self.n = n
         super().__init__(p, _fppoly.canonical_irreducible(p, n))
-
-    def payload_involute(self, a):
-        return a
 
     def elements(self) -> Iterator[Element]:
         for tup in itertools.product(range(self.p), repeat=self.degree):

@@ -181,12 +181,15 @@ def fixed_points(phi: SemilinearMap, max_ext: int = 3,
                  include_form_incompatible: bool = False) -> FixedPointReport:
     """Projective fixed points of phi over extension levels 1..max_ext.
 
-    Points are deduplicated against lower levels by transporting their
-    normalized representatives up the tower, so each point appears at the
-    level where it first exists.  bound_too_small means the search provably
-    or possibly missed points within reach: an incomplete spectrum at the
-    top scanned level for linear maps, a level skipped over SCAN_LIMIT for
-    antilinear ones.
+    Each point appears at the lowest scanned level where it exists.  A
+    normalized representative at level m whose coordinates all satisfy
+    c^(Q^k) = c, with Q the base field's order, lies in the level-k subfield;
+    when k < m is a scanned level dividing m, the point was listed there and
+    is skipped at m.  The test needs no inclusion map, so it does not depend
+    on how the levels are embedded in each other.  bound_too_small means the
+    search provably or possibly missed points within reach: an incomplete
+    spectrum at the top scanned level for linear maps, a level skipped over
+    SCAN_LIMIT for antilinear ones.
     """
     base = phi.owner
     if not isinstance(base, QuadExt):
@@ -199,17 +202,8 @@ def fixed_points(phi: SemilinearMap, max_ext: int = 3,
     notes: list[str] = []
     levels_scanned: list[int] = []
     bound_too_small = False
-    # level -> (the field its points live in, their representatives)
-    found: dict[int, tuple[QuadExt, list[StateVector]]] = {}
     points: list[ProjectivePoint] = []
     top_complete = True
-    inclusions: dict = {}
-
-    def include(small: QuadExt, d: int):
-        """Each inclusion is built (root search plus certificate) once per call."""
-        if (small, d) not in inclusions:
-            inclusions[small, d] = _build_inclusion(small, d)
-        return inclusions[small, d]
 
     for m in range(1, max_ext + 1):
         if m % 2 == 0:
@@ -221,41 +215,30 @@ def fixed_points(phi: SemilinearMap, max_ext: int = 3,
                     f"level {m}: skipped, the extended field's conjugation ignores the base "
                     "involution (pass include_form_incompatible to scan it anyway)")
                 continue
-        inc = include(base, m)
-        big = inc.big
+        inc = _build_inclusion(base, m)
         mhat = extend_matrix(inc, phi.matrix)
         if phi.twist == 0:
             level_pts, complete = _eigen_points(mhat, m, notes)
             top_complete = complete
         else:
-            count = _projective_count(big.order, phi.dim)
+            count = _projective_count(inc.big.order, phi.dim)
             if count > SCAN_LIMIT:
                 notes.append(
                     f"level {m}: {count} projective points exceed the scan limit {SCAN_LIMIT}")
                 bound_too_small = True
                 continue
             level_pts = _antilinear_points(mhat, m)
+        subfield_orders = [base.order**k for k in levels_scanned if m % k == 0]
         levels_scanned.append(m)
-
-        prior: set[tuple] = set()
-        for k, (field, reps) in found.items():
-            if m % k == 0 and k < m:
-                up = include(field, m // k)
-                assert up.big == big
-                for rep in reps:
-                    prior.add(tuple(up(c).payload for c in rep))
-        fresh: list[StateVector] = []
         for rep, lam in level_pts:
-            if tuple(c.payload for c in rep) in prior:
+            if any(all(c**order == c for c in rep) for order in subfield_orders):
                 continue
-            fresh.append(rep)
             points.append(ProjectivePoint(
                 level=m,
                 coordinates=tuple(str(c) for c in rep),
                 multiplier=str(lam),
                 form_compatible=m % 2 == 1,
             ))
-        found[m] = (big, fresh)
 
     if phi.twist == 0 and not top_complete:
         bound_too_small = True

@@ -202,9 +202,10 @@ def _cmd_curves_meet(args) -> dict:
 
 def _cmd_fixpoints(args) -> dict:
     obj = json.loads(_read_maybe_file(args.map))
-    if "aut_exponent" not in obj:
+    twist = obj.get("aut_exponent") if isinstance(obj, dict) else None
+    if type(twist) is not int or twist not in (0, 1):
         raise ValueError('the map JSON needs an "aut_exponent" of 0 or 1')
-    phi = SemilinearMap(matrix_from_json(obj), int(obj["aut_exponent"]))
+    phi = SemilinearMap(matrix_from_json(obj), twist)
     rep = fixed_points(phi, max_ext=args.max_ext,
                        include_form_incompatible=args.include_form_incompatible)
     out = rep.to_json()

@@ -129,9 +129,13 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
     return toks
 
 
-# Deeper sentences are refused with a ParseError before Python's own
-# recursion limit is reached, here or in the recursive passes after parsing.
+# Deeper or longer sentences are refused with a ParseError before Python's
+# own recursion limit is reached, here or in the recursive passes after
+# parsing.  Every tree node owns a token of its own (an operator, keyword or
+# leaf), so the token cap also bounds the height of the tree, flat chains
+# such as x + x + ... + x included, and the passes recurse once per level.
 _MAX_NESTING = 100
+_MAX_TOKENS = 500
 
 
 class _Parser:
@@ -142,13 +146,17 @@ class _Parser:
         self.toks = toks
         self.i = 0
         self.depth = 0
-        self.too_deep: ParseError | None = None
+        self.over_limit: ParseError | None = None
+
+    def refuse(self, message: str, pos: int):
+        """A size limit was hit; no backtrack can get round it."""
+        self.over_limit = ParseError(message, pos)
+        raise self.over_limit
 
     def nested(self, parse, pos: int):
         """parse() one level deeper: a quantifier body, a '!' or a '('."""
         if self.depth == _MAX_NESTING:
-            self.too_deep = ParseError(f"nesting deeper than {_MAX_NESTING} levels", pos)
-            raise self.too_deep
+            self.refuse(f"nesting deeper than {_MAX_NESTING} levels", pos)
         self.depth += 1
         try:
             return parse()
@@ -160,6 +168,8 @@ class _Parser:
 
     def advance(self):
         t = self.toks[self.i]
+        if self.i == _MAX_TOKENS and t[0] != "end":
+            self.refuse(f"sentence longer than {_MAX_TOKENS} tokens", t[2])
         self.i += 1
         return t
 
@@ -212,7 +222,7 @@ class _Parser:
                 self.expect(")")
                 return f
             except ParseError as exc:
-                if exc is self.too_deep:
+                if exc is self.over_limit:
                     raise  # a backtrack would only hit the same limit
                 self.i = save
         left = self.term()

@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 
 from .forms import Matrix, StateVector, conj_transpose, rank
-from .starfield import Element, FieldDescriptor, GaussianRationals, QuadExt, _preimage_table
+from .starfield import Element, FieldDescriptor, GaussianRationals, _preimage_table
 
 # (a, b, c) with a^2 + b^2 = c^2: the source of Q(i) elements of norm a^2/c^2
 _TRIPLES = ((3, 4, 5), (5, 12, 13), (8, 15, 17), (20, 21, 29))
@@ -28,9 +28,7 @@ def random_element(rng: random.Random, field: FieldDescriptor) -> Element:
         re = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
         im = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
         return field.element((re, im))
-    if isinstance(field, QuadExt):
-        return field.element(tuple(rng.randrange(field.p) for _ in range(field.degree)))
-    return field.element(rng.randrange(field.p))
+    return field.element(tuple(rng.randrange(field.p) for _ in range(field.degree)))
 
 
 def random_state(rng: random.Random, field: FieldDescriptor, dim: int) -> StateVector:

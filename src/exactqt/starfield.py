@@ -7,9 +7,12 @@ complex conjugation.  The involution plays the role complex conjugation
 plays in ordinary quantum mechanics; fields where it degenerates to the
 identity are called improper and refuse conjugation-specific requests.
 
-The F_p[t]/(modulus) arithmetic is written once, in FpQuotientField;
-QuadExt and the internal tower fields of the closure evaluator both extend
-it and add only their checks, involution, naming and enumeration.
+Every finite field is an F_p[t]/(modulus) and is computed by one class,
+FpQuotientField: PrimeField is its degree-1 case F_p[t]/(t), and QuadExt
+and the internal tower fields of the closure evaluator extend it too.  So
+all finite elements share one representation (padded coefficient tuples),
+one arithmetic, one equality and one hash; the subclasses add only their
+checks, naming, enumeration and, for QuadExt, the Frobenius involution.
 
 All values are immutable and every operation is exact; nothing in this
 module (or the package) touches floating point.
@@ -160,82 +163,14 @@ class FieldDescriptor:
         return self.shorthand()
 
 
-class PrimeField(FieldDescriptor):
-    """F_p with the identity involution (an improper field)."""
-
-    kind = "prime"
-    involution_order = 1
-
-    def __init__(self, p: int):
-        if not isinstance(p, int) or not is_prime(p):
-            raise NonPrimeCharacteristic(f"{p} is not prime")
-        self.p = p
-        self.characteristic = p
-        self.order = p
-
-    def payload_from_int(self, n: int) -> int:
-        return n % self.p
-
-    def payload_canonical(self, raw) -> int:
-        if isinstance(raw, int):
-            return raw % self.p
-        return super().payload_canonical(raw)
-
-    def payload_add(self, a, b):
-        return (a + b) % self.p
-
-    def payload_neg(self, a):
-        return (-a) % self.p
-
-    def payload_mul(self, a, b):
-        return a * b % self.p
-
-    def payload_inv(self, a):
-        if a == 0:
-            raise DivisionByZero(f"0 has no inverse in {self.shorthand()}")
-        return pow(a, self.p - 2, self.p)
-
-    def payload_involute(self, a):
-        return a
-
-    def payload_parse(self, s: str) -> int:
-        try:
-            return int(s.strip()) % self.p
-        except ValueError:
-            raise ParseError(f"bad prime-field element {s!r}", 0) from None
-
-    def payload_format(self, a) -> str:
-        return str(a)
-
-    def payload_sort_key(self, a):
-        return (a,)
-
-    def elements(self) -> Iterator[Element]:
-        for n in range(self.p):
-            yield Element(self, n)
-
-    def fixed_elements(self) -> tuple[Element, ...]:
-        return tuple(self.elements())
-
-    def shorthand(self) -> str:
-        return f"prime:{self.p}"
-
-    def to_json(self) -> dict:
-        return {"kind": "prime", "p": self.p}
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self) -> int:
-        return hash(("prime", self.p))
-
-
 class FpQuotientField(FieldDescriptor):
     """F_p[t]/(modulus) on coefficient tuples of length degree, low degree first.
 
-    The arithmetic, text form and element order shared by QuadExt and the
-    tower fields; subclasses add their checks, involution, naming and element
-    enumeration.  Two fields are equal when type, p and modulus agree.
+    The arithmetic, text form, element order and identity involution shared
+    by every finite field here: PrimeField (modulus t), QuadExt and the tower
+    fields.  Subclasses add their checks, naming and element enumeration, and
+    QuadExt its Frobenius involution.  The modulus is monic.  Two fields are
+    equal when type, p and modulus agree.
     """
 
     def __init__(self, p: int, modulus: tuple[int, ...]):
@@ -244,7 +179,7 @@ class FpQuotientField(FieldDescriptor):
         self.modulus = modulus
         self.degree = len(modulus) - 1
         self.order = p**self.degree
-        self._trim_mod = _fppoly.trim(modulus)
+        self._fixed_cache: tuple[Element, ...] | None = None
 
     def _pad(self, c: tuple[int, ...]) -> tuple[int, ...]:
         return c + (0,) * (self.degree - len(c))
@@ -254,7 +189,7 @@ class FpQuotientField(FieldDescriptor):
 
     def payload_canonical(self, raw) -> tuple[int, ...]:
         if isinstance(raw, (tuple, list)) and all(isinstance(c, int) for c in raw):
-            reduced = _fppoly.mod(_fppoly.trim(tuple(c % self.p for c in raw)), self._trim_mod, self.p)
+            reduced = _fppoly.mod(_fppoly.trim(tuple(c % self.p for c in raw)), self.modulus, self.p)
             return self._pad(reduced)
         return super().payload_canonical(raw)
 
@@ -265,16 +200,16 @@ class FpQuotientField(FieldDescriptor):
         return tuple((-x) % self.p for x in a)
 
     def payload_mul(self, a, b):
-        return self._pad(_fppoly.mulmod(_fppoly.trim(a), _fppoly.trim(b), self._trim_mod, self.p))
+        return self._pad(_fppoly.mulmod(_fppoly.trim(a), _fppoly.trim(b), self.modulus, self.p))
 
     def payload_inv(self, a):
         if not _fppoly.trim(a):
             raise DivisionByZero(f"0 has no inverse in {self.shorthand()}")
-        return self._pad(_fppoly.invmod(_fppoly.trim(a), self._trim_mod, self.p))
+        return self._pad(_fppoly.invmod(_fppoly.trim(a), self.modulus, self.p))
 
     def payload_parse(self, s: str) -> tuple[int, ...]:
         raw = _fppoly.parse_poly(s, self.p)
-        return self._pad(_fppoly.mod(raw, self._trim_mod, self.p))
+        return self._pad(_fppoly.mod(raw, self.modulus, self.p))
 
     def payload_format(self, a) -> str:
         return _fppoly.format_poly(_fppoly.trim(a))
@@ -282,11 +217,52 @@ class FpQuotientField(FieldDescriptor):
     def payload_sort_key(self, a):
         return a
 
+    def payload_involute(self, a):
+        return a
+
+    def fixed_elements(self) -> tuple[Element, ...]:
+        """The fixed field, in canonical element order (cached)."""
+        if self._fixed_cache is None:
+            self._fixed_cache = tuple(x for x in self.elements() if x.is_fixed())
+        return self._fixed_cache
+
     def __eq__(self, other) -> bool:
         return type(other) is type(self) and other.p == self.p and other.modulus == self.modulus
 
     def __hash__(self) -> int:
         return hash((self.kind, self.p, self.modulus))
+
+
+class PrimeField(FpQuotientField):
+    """F_p with the identity involution (an improper field).
+
+    F_p is F_p[t]/(t), the degree-1 FpQuotientField: payloads are 1-tuples
+    (a,) with 0 <= a < p, and all arithmetic is inherited.  Only the text
+    form is stricter: an element is a plain integer, so "t" does not parse.
+    """
+
+    kind = "prime"
+
+    def __init__(self, p: int):
+        if not isinstance(p, int) or not is_prime(p):
+            raise NonPrimeCharacteristic(f"{p} is not prime")
+        super().__init__(p, (0, 1))
+
+    def payload_parse(self, s: str) -> tuple[int, ...]:
+        try:
+            return self.payload_from_int(int(s.strip()))
+        except ValueError:
+            raise ParseError(f"bad prime-field element {s!r}", 0) from None
+
+    def elements(self) -> Iterator[Element]:
+        for n in range(self.p):
+            yield Element(self, (n,))
+
+    def shorthand(self) -> str:
+        return f"prime:{self.p}"
+
+    def to_json(self) -> dict:
+        return {"kind": "prime", "p": self.p}
 
 
 class QuadExt(FpQuotientField):
@@ -300,26 +276,27 @@ class QuadExt(FpQuotientField):
     kind = "quadext"
     involution_order = 2
 
-    def __init__(self, p: int, e: int, modulus: tuple[int, ...] | None = None):
+    def __init__(self, p: int, e: int, modulus: tuple[int, ...] | list[int] | None = None):
         if not isinstance(p, int) or not is_prime(p):
             raise NonPrimeCharacteristic(f"{p} is not prime")
-        if not isinstance(e, int) or e < 1:
+        if type(e) is not int or e < 1:
             raise ValueError("extension parameter e must be a positive integer")
         self.e = e
         self.q = p**e
         if modulus is None:
             modulus = _fppoly.canonical_irreducible(p, 2 * e)
         else:
-            modulus = tuple(int(c) % p for c in modulus)
+            if not isinstance(modulus, (tuple, list)) or any(type(c) is not int for c in modulus):
+                raise ValueError("modulus must be a list of integer coefficients")
+            modulus = tuple(c % p for c in modulus)
             if len(modulus) != 2 * e + 1 or modulus[-1] != 1:
                 raise ValueError(f"modulus must be monic of degree {2 * e}")
-            if not _fppoly.is_irreducible(_fppoly.trim(modulus), p):
+            if not _fppoly.is_irreducible(modulus, p):
                 raise ReducibleModulus(f"{list(modulus)} is reducible over F_{p}")
         super().__init__(p, modulus)
-        self._fixed_cache: tuple[Element, ...] | None = None
 
     def payload_involute(self, a):
-        return self._pad(_fppoly.powmod(_fppoly.trim(a), self.q, self._trim_mod, self.p))
+        return self._pad(_fppoly.powmod(_fppoly.trim(a), self.q, self.modulus, self.p))
 
     def generator(self) -> Element:
         """The class of t, the canonical element outside the fixed field."""
@@ -328,12 +305,6 @@ class QuadExt(FpQuotientField):
     def elements(self) -> Iterator[Element]:
         for tup in itertools.product(range(self.p), repeat=self.degree):
             yield Element(self, tup)
-
-    def fixed_elements(self) -> tuple[Element, ...]:
-        """The fixed field F_q, in canonical element order (cached)."""
-        if self._fixed_cache is None:
-            self._fixed_cache = tuple(x for x in self.elements() if x.is_fixed())
-        return self._fixed_cache
 
     def shorthand(self) -> str:
         return f"quadext:{self.p}:{self.e}"
@@ -465,7 +436,7 @@ def make_field(kind: str, p: int | None = None, e: int | None = None,
     if kind == "quadext":
         if p is None or e is None:
             raise ValueError("quadratic extension needs p and e")
-        return QuadExt(p, e, tuple(modulus) if modulus is not None else None)
+        return QuadExt(p, e, modulus)
     if kind == "gaussian":
         return GaussianRationals()
     raise ValueError(f"unknown field kind {kind!r}")
@@ -490,14 +461,9 @@ def parse_field(spec) -> FieldDescriptor:
         raise ParseError(f"bad field shorthand {spec!r}", 0)
     if isinstance(spec, dict):
         kind = spec.get("kind")
-        if kind == "prime":
-            return PrimeField(spec["p"])
-        if kind == "quadext":
-            modulus = spec.get("modulus")
-            return QuadExt(spec["p"], spec["e"], tuple(modulus) if modulus else None)
-        if kind == "gaussian":
-            return GaussianRationals()
-        raise ParseError(f"bad field descriptor kind {kind!r}", 0)
+        if kind not in ("prime", "quadext", "gaussian"):
+            raise ParseError(f"bad field descriptor kind {kind!r}", 0)
+        return make_field(kind, spec.get("p"), spec.get("e"), spec.get("modulus"))
     raise TypeError(f"cannot interpret {spec!r} as a field")
 
 

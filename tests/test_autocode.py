@@ -1,5 +1,6 @@
 """Semilinear maps, the squaring dichotomy, and projective fixed points."""
 
+import functools
 import itertools
 import random
 
@@ -16,6 +17,7 @@ from exactqt import (
     involute,
     square_is_linear,
 )
+from exactqt.embed import _build_inclusion
 from exactqt.errors import DimensionMismatch, FieldMismatch, ImproperField, NonSquare
 from exactqt.sampling import random_invertible, random_semilinear, random_state
 
@@ -186,6 +188,42 @@ def test_fixed_points_deduplicates_transported_points():
             transported = {tuple(str(emb(field.element(c))) for c in pt.coordinates)
                            for pt in level1}
             assert transported.isdisjoint({pt.coordinates for pt in level3})
+
+
+def test_fixed_points_lists_a_lower_level_point_once():
+    # F_4 -> F_16 -> F_256 sends t to 1+t^2+t^3+t^6+t^7 but F_4 -> F_256 sends
+    # it to t^2+t^3+t^6+t^7: first-root inclusions do not compose, so the two
+    # level-2 eigenlines must not come back at level 4 under other names
+    phi = SemilinearMap(Matrix(QuadExt(2, 1), [["0", "t"], ["1", "1"]]), 0)
+    report = fixed_points(phi, max_ext=4, include_form_incompatible=True)
+    assert [(pt.level, pt.coordinates) for pt in report.points] == [
+        (2, ("1", "1+t^3")), (2, ("1", "t"))]
+    assert report.levels_scanned == (1, 2, 3, 4)
+
+
+@functools.lru_cache(maxsize=None)
+def _subfield(small, big):
+    """The copy of small inside big: the image of any inclusion, as payloads."""
+    inc = _build_inclusion(small, big.e // small.e)
+    assert inc.big == big
+    return {inc(x).payload for x in small.elements()}
+
+
+@pytest.mark.parametrize("base, twist, max_ext", [
+    (QuadExt(2, 1), 0, 4), (QuadExt(3, 1, modulus=(2, 2, 1)), 0, 3),
+    (QuadExt(2, 1), 1, 3), (F9, 1, 3)])
+def test_no_fixed_point_lies_in_a_lower_scanned_level(base, twist, max_ext):
+    rng = random.Random(113)
+    for _ in range(4):
+        phi = SemilinearMap(random_invertible(rng, base, 2), twist)
+        report = fixed_points(phi, max_ext=max_ext, include_form_incompatible=True)
+        for pt in report.points:
+            big = base if pt.level == 1 else QuadExt(base.p, base.e * pt.level)
+            coords = {big.element(c).payload for c in pt.coordinates}
+            for k in report.levels_scanned:
+                if k < pt.level and pt.level % k == 0:
+                    small = base if k == 1 else QuadExt(base.p, base.e * k)
+                    assert not coords <= _subfield(small, big), (pt, k)
 
 
 def test_singular_matrix_rejected():

@@ -185,6 +185,14 @@ def test_lefschetz_eval_deep_nesting_is_a_parse_error(capsys):
     assert "column 105" in doc["error"]["message"]
 
 
+def test_lefschetz_eval_long_chain_is_a_parse_error(capsys):
+    sentence = "E x . x = " + "x + " * 1500 + "x"
+    code, doc = run_cli(capsys, "lefschetz", "eval", "--sentence", sentence, "--p", "2")
+    assert code == 1
+    assert doc["error"]["type"] == "ParseError"
+    assert "column 1000" in doc["error"]["message"]
+
+
 def test_lefschetz_sample_range_grammar(capsys):
     code, first = run_cli(capsys, "lefschetz", "sample",
                           "--sentence", "E x . x*x + 1 = 0", "--primes", "2..13")
@@ -277,6 +285,28 @@ def test_wire_shape_is_strict(capsys, shape):
     code, doc = run_cli(capsys, "form", "--left", left, "--right", "1,1", "--field", "prime:5")
     assert code == 1
     assert doc["error"]["type"] == "ValueError"
+
+
+@pytest.mark.parametrize("field, aut_exponent", [
+    ("quadext:3:1", 1.7),
+    ("quadext:3:1", True),
+    ("quadext:3:1", "1"),
+    ("quadext:3:1", 2),
+    ({"kind": "quadext", "p": 3, "e": True}, 1),
+    ({"kind": "quadext", "p": 3, "e": 1.0}, 1),
+    ({"kind": "quadext", "p": 3, "e": 1, "modulus": [1.9, "0", 1]}, 1),
+    ({"kind": "quadext", "p": 3, "e": 1, "modulus": [True, 0, 1]}, 1),
+    ({"kind": "quadext", "p": 3, "e": 1, "modulus": []}, 1),
+    ({"kind": "quadext", "p": 3}, 1),
+    ({"kind": "prime"}, 0),
+    ({"p": 3}, 0),
+])
+def test_map_descriptor_is_strict(capsys, field, aut_exponent):
+    code, doc = run_cli(capsys, "fixpoints", "--max-ext", "1", "--map", json.dumps({
+        "field": field, "rows": 2, "cols": 2, "entries": ["1", "0", "0", "1"],
+        "aut_exponent": aut_exponent}))
+    assert code == 1
+    assert doc["error"]["type"] in ("ValueError", "ParseError")
 
 
 @pytest.mark.parametrize("dims", [[2.7, "2"], [True, 2]])

@@ -74,6 +74,29 @@ def test_parse_refuses_deep_nesting_with_a_column():
         parse_sentence("E x . " * 400 + "x = 0")
 
 
+def test_parse_refuses_long_flat_chains_with_a_column():
+    # the 501st token is the '=' or '+' at column 1000 in both sentences
+    for text in ("E x . " + "x = 0 & " * 1500 + "x = 0", "E x . x = " + "x + " * 1500 + "x"):
+        with pytest.raises(ParseError) as exc:
+            parse_sentence(text)
+        assert exc.value.position == 1000
+        assert "500 tokens" in str(exc.value)
+
+
+@pytest.mark.parametrize("text", [
+    "E x . x = " + "x + " * 247 + "x",
+    "E x . " + "x = 0 & " * 123 + "x = 0",
+    "E x . " + "!" * 98 + "(x = " + "x*" * 197 + "x)",
+])
+def test_sentences_at_the_token_cap_survive_every_pass(text):
+    f = parse_sentence(text)
+    assert pretty(f) == text
+    assert free_variables(f) == frozenset()
+    assert alpha_rename(f) == parse_sentence(pretty(alpha_rename(f)))
+    assert eval_closure(f, 2).value is not None
+    assert eval_finite(f, F3) in (True, False)
+
+
 def test_parse_renames_rebound_variables():
     f = parse_sentence("E x . (E x . x = 0) & x = 1")
     assert pretty(f) == "E x . (E x0 . x0 = 0) & x = 1"

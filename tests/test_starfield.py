@@ -165,13 +165,19 @@ def test_cross_field_operations_rejected():
         F9.element(1) * QI.one()
 
 
+ORACLE_PRIMES = (2, 3, 5, 7, 101)
+
+
 @given(st.data())
 def test_quadext_and_tower_field_share_arithmetic(data):
     # QuadExt(p, e) and TowerField(p, 2e) are the same F_p[t]/(f) with the same
-    # canonical f, so every payload agrees; the fields stay distinct types.
-    p, e = data.draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1)]))
-    quad, tower = QuadExt(p, e), TowerField(p, 2 * e)
-    payloads = st.tuples(*[st.integers(0, p - 1)] * (2 * e))
+    # canonical f, and so are PrimeField(p) and TowerField(p, 1) with f = t:
+    # every payload agrees, and the fields stay distinct types.
+    quad, tower = data.draw(st.sampled_from(
+        [(QuadExt(p, e), TowerField(p, 2 * e)) for p, e in ((2, 1), (3, 1), (2, 2), (5, 1))]
+        + [(PrimeField(p), TowerField(p, 1)) for p in ORACLE_PRIMES]))
+    p = quad.p
+    payloads = st.tuples(*[st.integers(0, p - 1)] * tower.degree)
     a, b = data.draw(payloads), data.draw(payloads)
     qa, qb, ta, tb = quad.element(a), quad.element(b), tower.element(a), tower.element(b)
     assert (qa + qb).payload == (ta + tb).payload
@@ -183,6 +189,27 @@ def test_quadext_and_tower_field_share_arithmetic(data):
     assert quad != tower
     with pytest.raises(FieldMismatch):
         qa + ta
+
+
+@given(st.sampled_from(ORACLE_PRIMES), st.data())
+def test_prime_field_matches_int_arithmetic_mod_p(p, data):
+    field = PrimeField(p)
+    a, b = (data.draw(st.integers(-3 * p, 3 * p)) for _ in range(2))
+    x, y = field.element(a), field.element(b)
+    assert x.payload == (a % p,)
+    assert str(x + y) == str((a + b) % p)
+    assert str(x - y) == str((a - b) % p)
+    assert str(x * y) == str(a * b % p)
+    assert str(-x) == str(-a % p)
+    if a % p:
+        assert str(x.inverse()) == str(pow(a, -1, p))
+    else:
+        with pytest.raises(DivisionByZero):
+            x.inverse()
+    assert field.element(f" {a} ") == x
+    assert hash(field.element(str(x))) == hash(x)
+    assert (x.sort_key() < y.sort_key()) == (a % p < b % p)
+    assert [str(z) for z in field.elements()] == [str(n) for n in range(p)]
 
 
 def test_element_text_round_trip():
@@ -199,6 +226,9 @@ def test_element_parse_rejects_garbage():
         F9.element("1+2s")
     with pytest.raises(ParseError):
         QI.element("3//2")
+    for text in ("t", "1+2", "2t"):
+        with pytest.raises(ParseError):
+            PrimeField(5).element(text)
 
 
 def test_fixed_field_coordinates():
