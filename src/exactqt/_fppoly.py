@@ -114,6 +114,21 @@ def invmod(a, m, p: int):
     return mod(tuple(x * c % p for x in s0), m, p)
 
 
+def prime_divisors(n: int) -> list[int]:
+    """The distinct prime divisors of n >= 1, ascending, by trial division."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 def is_irreducible(f: tuple[int, ...], p: int) -> bool:
     """Rabin's test for a monic polynomial of degree >= 1 over F_p."""
     n = deg(f)
@@ -122,18 +137,7 @@ def is_irreducible(f: tuple[int, ...], p: int) -> bool:
     x = (0, 1)
     if powmod(x, p**n, f, p) != mod(x, f, p):
         return False
-    m = n
-    prime_divs = []
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            prime_divs.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        prime_divs.append(m)
-    for r in prime_divs:
+    for r in prime_divisors(n):
         h = sub(powmod(x, p ** (n // r), f, p), x, p)
         if deg(gcd(h, f, p)) != 0:
             return False

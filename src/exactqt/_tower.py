@@ -18,9 +18,8 @@ import itertools
 from typing import Iterator
 
 from . import _fppoly
-from ._intnum import is_prime
-from .errors import NonPrimeCharacteristic, NoRootFound
-from .starfield import Element, FpQuotientField
+from .errors import NoRootFound
+from .starfield import Element, FpQuotientField, _require_prime
 
 
 class TowerField(FpQuotientField):
@@ -29,8 +28,7 @@ class TowerField(FpQuotientField):
     kind = "tower"
 
     def __init__(self, p: int, n: int):
-        if not isinstance(p, int) or not is_prime(p):
-            raise NonPrimeCharacteristic(f"{p} is not prime")
+        _require_prime(p)
         if not isinstance(n, int) or n < 1:
             raise ValueError("tower degree must be a positive integer")
         self.n = n

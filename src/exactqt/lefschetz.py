@@ -134,17 +134,24 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
 # parsing.  Every tree node owns a token of its own (an operator, keyword or
 # leaf), so the token cap also bounds the height of the tree, flat chains
 # such as x + x + ... + x included, and the passes recurse once per level.
+# The brackets of a negated equation, !(a = b), count neither as a level nor
+# as tokens: pretty always writes them, and a text written without them
+# must still parse back from its printed form within the same limits.  They
+# hold one equation, which nests no further formula, so they cost the parser
+# at most one bracket's recursion.
 _MAX_NESTING = 100
 _MAX_TOKENS = 500
 
 
 class _Parser:
-    """Recursive descent; the only backtrack point is '(' in atom position,
-    which may open either a subformula or a parenthesized term."""
+    """Recursive descent; it backtracks only at a '(' in atom position, which
+    may open either a subformula or a parenthesized term, and at a '(' right
+    after '!', which is first read as the free brackets of one equation."""
 
     def __init__(self, toks):
         self.toks = toks
         self.i = 0
+        self.free = 0  # tokens read so far that the token cap does not count
         self.depth = 0
         self.over_limit: ParseError | None = None
 
@@ -168,7 +175,7 @@ class _Parser:
 
     def advance(self):
         t = self.toks[self.i]
-        if self.i == _MAX_TOKENS and t[0] != "end":
+        if self.i - self.free == _MAX_TOKENS and t[0] != "end":
             self.refuse(f"sentence longer than {_MAX_TOKENS} tokens", t[2])
         self.i += 1
         return t
@@ -209,13 +216,32 @@ class _Parser:
         k, _, pos = self.peek()
         if k == "!":
             self.advance()
-            return Not(self.nested(self.not_f, pos))
+            return Not(self.nested(self.negated, pos))
         return self.atom()
+
+    def negated(self):
+        """The operand of '!': first as a bracketed equation, whose brackets
+        are free, then as any not_f."""
+        if self.peek()[0] == "(":
+            mark = (self.i, self.free)
+            self.i += 1
+            self.free += 1
+            try:
+                eq = self.equation()
+                if self.peek()[0] == ")":
+                    self.i += 1
+                    self.free += 1
+                    return eq
+            except ParseError as exc:
+                if exc is self.over_limit:
+                    raise  # charged brackets would only reach the limit sooner
+            self.i, self.free = mark
+        return self.not_f()
 
     def atom(self):
         k, _, pos = self.peek()
         if k == "(":
-            save = self.i
+            mark = (self.i, self.free)
             self.advance()
             try:
                 f = self.nested(self.formula, pos)
@@ -224,7 +250,10 @@ class _Parser:
             except ParseError as exc:
                 if exc is self.over_limit:
                     raise  # a backtrack would only hit the same limit
-                self.i = save
+                self.i, self.free = mark
+        return self.equation()
+
+    def equation(self):
         left = self.term()
         self.expect("=")
         return Eq(left, self.term())

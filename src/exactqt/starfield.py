@@ -14,6 +14,21 @@ all finite elements share one representation (padded coefficient tuples),
 one arithmetic, one equality and one hash; the subclasses add only their
 checks, naming, enumeration and, for QuadExt, the Frobenius involution.
 
+That arithmetic has two routes to the same answers.  The polynomial route
+(_fppoly's mulmod, invmod and powmod on coefficient tuples) always works.
+The table route is a cache in front of it: a discrete-log table and an
+antilog table against a primitive element g, so that x*y = g^(log x +
+log y), 1/x = g^(-log x) and x^q = g^(q log x) are two lookups each
+(the discrete-log representation; Lidl and Niederreiter, Finite Fields,
+ch. 9).  Tables
+are shared by every descriptor with the same p and modulus, and are built
+only for fields of at most _TABLE_CAP elements, once that p and modulus
+has done as many polynomial-route products, inverses and conjugations as
+the field has elements.  The build (about that many products again) thus
+never costs more than work already done, and short-lived fields never pay
+for it.  Payloads stay padded coefficient tuples on both routes, so
+element order, text and every output are the same whichever route runs.
+
 All values are immutable and every operation is exact; nothing in this
 module (or the package) touches floating point.
 """
@@ -49,7 +64,7 @@ class Element:
     def _check(self, other: Element) -> None:
         if not isinstance(other, Element):
             raise TypeError(f"expected an Element, got {type(other).__name__}")
-        if self.owner != other.owner:
+        if self.owner is not other.owner and self.owner != other.owner:
             raise FieldMismatch(f"{self.owner.shorthand()} vs {other.owner.shorthand()}")
 
     def __add__(self, other: Element) -> Element:
@@ -163,6 +178,76 @@ class FieldDescriptor:
         return self.shorthand()
 
 
+def _require_prime(p) -> None:
+    """Refuse a characteristic that is not an int (bool included) or not prime."""
+    if type(p) is not int:
+        raise ValueError(f"characteristic p must be an integer, got {p!r}")
+    if not is_prime(p):
+        raise NonPrimeCharacteristic(f"{p} is not prime")
+
+
+# Fields of at most this many elements may build log/antilog tables.
+_TABLE_CAP = 1 << 16
+
+
+class _LogTables:
+    """Discrete-log and antilog tables of F_p[t]/(modulus), built on demand.
+
+    One instance per (p, modulus), shared by every descriptor with that p
+    and modulus (see _log_tables).  Until `log` is set, charge() counts the
+    polynomial-route operations the field's elements have cost; the tables
+    are built when that count reaches the field order, and never above
+    _TABLE_CAP.  exp[k] is the padded payload of g^k for 0 <= k < 2(order -
+    1), so a sum of two logs indexes it without a reduction; log maps each
+    payload to its discrete log, and zero to -order, which keeps every sum
+    involving zero negative.
+    """
+
+    __slots__ = ("p", "modulus", "order", "zero", "budget", "log", "exp")
+
+    def __init__(self, p: int, modulus: tuple[int, ...]):
+        self.p = p
+        self.modulus = modulus
+        self.order = p ** (len(modulus) - 1)
+        self.zero = (0,) * (len(modulus) - 1)
+        self.budget = self.order if self.order <= _TABLE_CAP else -1
+        self.log: dict[tuple[int, ...], int] | None = None
+        self.exp: list[tuple[int, ...]] | None = None
+
+    def charge(self) -> None:
+        """Count one polynomial-route operation; build when they have paid for it."""
+        self.budget -= 1
+        if self.budget == 0:
+            self._build()
+
+    def _build(self) -> None:
+        p, m, n = self.p, self.modulus, self.order - 1
+        degree = len(m) - 1
+        g = next(c for c in map(_fppoly.trim, itertools.product(range(p), repeat=degree))
+                 if c and all(_fppoly.powmod(c, n // r, m, p) != (1,)
+                              for r in _fppoly.prime_divisors(n)))
+        exp = []
+        x = (1,)
+        for _ in range(n):
+            exp.append(x + (0,) * (degree - len(x)))
+            x = _fppoly.mulmod(g, x, m, p)
+        log = {a: k for k, a in enumerate(exp)}
+        log[self.zero] = -self.order
+        self.exp = exp + exp
+        self.log = log
+
+
+_LOG_TABLES: dict[tuple[int, tuple[int, ...]], _LogTables] = {}
+
+
+def _log_tables(p: int, modulus: tuple[int, ...]) -> _LogTables:
+    """The one _LogTables of F_p[t]/(modulus) in this process."""
+    tables = _LOG_TABLES.get((p, modulus))
+    if tables is None:
+        tables = _LOG_TABLES[(p, modulus)] = _LogTables(p, modulus)
+    return tables
+
+
 class FpQuotientField(FieldDescriptor):
     """F_p[t]/(modulus) on coefficient tuples of length degree, low degree first.
 
@@ -170,7 +255,8 @@ class FpQuotientField(FieldDescriptor):
     by every finite field here: PrimeField (modulus t), QuadExt and the tower
     fields.  Subclasses add their checks, naming and element enumeration, and
     QuadExt its Frobenius involution.  The modulus is monic.  Two fields are
-    equal when type, p and modulus agree.
+    equal when type, p and modulus agree.  Products and inverses go through
+    the shared _LogTables once they are built, and through _fppoly before.
     """
 
     def __init__(self, p: int, modulus: tuple[int, ...]):
@@ -179,6 +265,7 @@ class FpQuotientField(FieldDescriptor):
         self.modulus = modulus
         self.degree = len(modulus) - 1
         self.order = p**self.degree
+        self._tables = _log_tables(p, modulus)
         self._fixed_cache: tuple[Element, ...] | None = None
 
     def _pad(self, c: tuple[int, ...]) -> tuple[int, ...]:
@@ -194,18 +281,33 @@ class FpQuotientField(FieldDescriptor):
         return super().payload_canonical(raw)
 
     def payload_add(self, a, b):
-        return tuple((x + y) % self.p for x, y in zip(a, b))
+        p = self.p
+        return tuple([(x + y) % p for x, y in zip(a, b)])
 
     def payload_neg(self, a):
-        return tuple((-x) % self.p for x in a)
+        p = self.p
+        return tuple([-x % p for x in a])
 
     def payload_mul(self, a, b):
-        return self._pad(_fppoly.mulmod(_fppoly.trim(a), _fppoly.trim(b), self.modulus, self.p))
+        tables = self._tables
+        log = tables.log
+        if log is None:
+            tables.charge()
+            return self._pad(_fppoly.mulmod(_fppoly.trim(a), _fppoly.trim(b), self.modulus, self.p))
+        k = log[a] + log[b]
+        return tables.exp[k] if k >= 0 else tables.zero
 
     def payload_inv(self, a):
-        if not _fppoly.trim(a):
-            raise DivisionByZero(f"0 has no inverse in {self.shorthand()}")
-        return self._pad(_fppoly.invmod(_fppoly.trim(a), self.modulus, self.p))
+        tables = self._tables
+        log = tables.log
+        if log is not None:
+            k = log[a]
+            if k >= 0:
+                return tables.exp[self.order - 1 - k]
+        elif _fppoly.trim(a):
+            tables.charge()
+            return self._pad(_fppoly.invmod(_fppoly.trim(a), self.modulus, self.p))
+        raise DivisionByZero(f"0 has no inverse in {self.shorthand()}")
 
     def payload_parse(self, s: str) -> tuple[int, ...]:
         raw = _fppoly.parse_poly(s, self.p)
@@ -244,8 +346,7 @@ class PrimeField(FpQuotientField):
     kind = "prime"
 
     def __init__(self, p: int):
-        if not isinstance(p, int) or not is_prime(p):
-            raise NonPrimeCharacteristic(f"{p} is not prime")
+        _require_prime(p)
         super().__init__(p, (0, 1))
 
     def payload_parse(self, s: str) -> tuple[int, ...]:
@@ -277,8 +378,7 @@ class QuadExt(FpQuotientField):
     involution_order = 2
 
     def __init__(self, p: int, e: int, modulus: tuple[int, ...] | list[int] | None = None):
-        if not isinstance(p, int) or not is_prime(p):
-            raise NonPrimeCharacteristic(f"{p} is not prime")
+        _require_prime(p)
         if type(e) is not int or e < 1:
             raise ValueError("extension parameter e must be a positive integer")
         self.e = e
@@ -296,7 +396,13 @@ class QuadExt(FpQuotientField):
         super().__init__(p, modulus)
 
     def payload_involute(self, a):
-        return self._pad(_fppoly.powmod(_fppoly.trim(a), self.q, self.modulus, self.p))
+        tables = self._tables
+        log = tables.log
+        if log is None:
+            tables.charge()
+            return self._pad(_fppoly.powmod(_fppoly.trim(a), self.q, self.modulus, self.p))
+        k = log[a]
+        return tables.exp[k * self.q % (self.order - 1)] if k >= 0 else a
 
     def generator(self) -> Element:
         """The class of t, the canonical element outside the fixed field."""
@@ -442,6 +548,14 @@ def make_field(kind: str, p: int | None = None, e: int | None = None,
     raise ValueError(f"unknown field kind {kind!r}")
 
 
+# The keys each kind of descriptor dict may carry (to_json writes all of them).
+_DESCRIPTOR_KEYS = {
+    "prime": {"kind", "p"},
+    "quadext": {"kind", "p", "e", "modulus"},
+    "gaussian": {"kind"},
+}
+
+
 def parse_field(spec) -> FieldDescriptor:
     """Accept a shorthand string ('quadext:3:1', 'prime:5', 'gaussian') or a
     descriptor dict ({"kind": "quadext", "p": 3, "e": 1, "modulus": [1, 0, 1]})."""
@@ -461,8 +575,11 @@ def parse_field(spec) -> FieldDescriptor:
         raise ParseError(f"bad field shorthand {spec!r}", 0)
     if isinstance(spec, dict):
         kind = spec.get("kind")
-        if kind not in ("prime", "quadext", "gaussian"):
+        if not isinstance(kind, str) or kind not in _DESCRIPTOR_KEYS:
             raise ParseError(f"bad field descriptor kind {kind!r}", 0)
+        unused = sorted(map(str, spec.keys() - _DESCRIPTOR_KEYS[kind]))
+        if unused:
+            raise ValueError(f"a {kind} field descriptor has no key {', '.join(unused)}")
         return make_field(kind, spec.get("p"), spec.get("e"), spec.get("modulus"))
     raise TypeError(f"cannot interpret {spec!r} as a field")
 

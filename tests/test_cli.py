@@ -309,6 +309,20 @@ def test_map_descriptor_is_strict(capsys, field, aut_exponent):
     assert doc["error"]["type"] in ("ValueError", "ParseError")
 
 
+@pytest.mark.parametrize("field", [
+    {"kind": "prime", "p": "5"},
+    {"kind": "prime", "p": 5.0},
+    {"kind": "quadext", "p": True, "e": 1},
+    {"kind": "prime", "p": 5, "e": 9},
+    {"kind": "gaussian", "p": 5},
+])
+def test_field_descriptor_is_strict(capsys, field):
+    left = json.dumps({"field": field, "rows": 1, "cols": 1, "entries": ["1"]})
+    code, doc = run_cli(capsys, "form", "--left", left, "--right", "1", "--field", "prime:5")
+    assert code == 1
+    assert doc["error"]["type"] == "ValueError"
+
+
 @pytest.mark.parametrize("dims", [[2.7, "2"], [True, 2]])
 def test_bipartite_dims_are_strict(capsys, dims):
     state = json.dumps({"field": "prime:5", "rows": 4, "cols": 1,

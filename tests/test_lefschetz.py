@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from exactqt import (
     Polynomial,
@@ -95,6 +96,38 @@ def test_sentences_at_the_token_cap_survive_every_pass(text):
     assert alpha_rename(f) == parse_sentence(pretty(alpha_rename(f)))
     assert eval_closure(f, 2).value is not None
     assert eval_finite(f, F3) in (True, False)
+
+
+@pytest.mark.parametrize("text", [
+    "E x . " + "!" * 99 + "x = 0",                          # 100 levels deep
+    "E x . " + "!" * 98 + "x = " + "x*" * 198 + "x",        # 500 tokens
+])
+def test_printed_form_of_a_sentence_at_the_limits_parses_back(text):
+    # pretty writes !(x = 0) where the text had !x = 0; those brackets are free
+    f = parse_sentence(text)
+    assert pretty(f).endswith(")")
+    assert parse_sentence(pretty(f)) == f
+
+
+@given(st.integers(0, 101), st.integers(0, 200), st.booleans(), st.booleans(),
+       st.integers(0, 3))
+@example(99, 0, False, False, 0)
+@example(100, 0, False, False, 0)
+@example(98, 198, False, False, 0)
+@example(98, 199, False, False, 0)
+@example(98, 197, True, False, 0)
+@example(97, 194, False, True, 0)
+@example(1, 120, False, False, 3)
+def test_printed_form_parses_whenever_the_text_does(nots, factors, bracketed, term_bracket,
+                                                     conjuncts):
+    equation = ("(x + 1)*" if term_bracket else "") + "x = " + "x*" * factors + "x"
+    negated = "!" * nots + (f"({equation})" if bracketed else equation)
+    text = "E x . " + " & ".join([negated] + ["!x = 0"] * conjuncts)
+    try:
+        f = parse_sentence(text)
+    except ParseError:
+        return
+    assert parse_sentence(pretty(f)) == f
 
 
 def test_parse_renames_rebound_variables():

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from exactqt import (
     Element,
+    Matrix,
     FieldMismatch,
     GaussianRationals,
     PrimeField,
@@ -14,11 +15,14 @@ from exactqt import (
     fixed_field_coordinates,
     involute,
     is_fixed,
+    eigen_decompose,
     make_field,
+    no_cloning_witness,
     norm_one_elements,
     parse_field,
 )
-from exactqt._tower import TowerField
+from exactqt import _fppoly, starfield
+from exactqt._tower import TowerField, tower_field
 from exactqt.errors import (
     DivisionByZero,
     NonPrimeCharacteristic,
@@ -272,3 +276,94 @@ def test_element_hash_consistent_with_eq():
     assert len(seen) == 9
     assert seen[F9.element("1+2t")] == "1+2t"
     assert isinstance(F9.element(0), Element)
+
+
+# Fields that multiply, invert and conjugate through log/antilog tables once
+# built, and fields above the table cap, which always take the polynomial route
+# (t^18 + t^7 + 1 is irreducible over F_2).
+TABLED = [PrimeField(2), PrimeField(101), QuadExt(2, 1), QuadExt(2, 4), QuadExt(3, 2),
+          QuadExt(13, 1), QuadExt(5, 2), tower_field(2, 5)]
+ABOVE_CAP = [PrimeField(65537), QuadExt(2, 9, modulus=(1,) + (0,) * 6 + (1,) + (0,) * 10 + (1,))]
+
+
+@pytest.fixture(scope="module")
+def warmed():
+    """Square every element of each tabled field: that is as many products
+    as the field has elements, which pays for its table."""
+    for field in TABLED:
+        for x in field.elements():
+            x * x
+    return TABLED + ABOVE_CAP
+
+
+def _poly_route(field, a, b):
+    """Product, inverse and involution of payloads by _fppoly alone."""
+    p, m, pad = field.p, field.modulus, field._pad
+    a0, b0 = _fppoly.trim(a), _fppoly.trim(b)
+    product = pad(_fppoly.mulmod(a0, b0, m, p))
+    inverse = pad(_fppoly.invmod(a0, m, p)) if a0 else None
+    image = pad(_fppoly.powmod(a0, field.q, m, p)) if isinstance(field, QuadExt) else a
+    return product, inverse, image
+
+
+@given(st.data())
+def test_table_route_matches_the_polynomial_route(warmed, data):
+    field = data.draw(st.sampled_from(warmed))
+    assert (field._tables.log is None) == (field.order > starfield._TABLE_CAP)
+    payloads = st.tuples(*[st.integers(0, field.p - 1)] * field.degree)
+    x, y = field.element(data.draw(payloads)), field.element(data.draw(payloads))
+    product, inverse, image = _poly_route(field, x.payload, y.payload)
+    assert (x * y).payload == product
+    assert x.conj().payload == image
+    if inverse is None:
+        with pytest.raises(DivisionByZero):
+            x.inverse()
+    else:
+        assert x.inverse().payload == inverse
+
+
+@pytest.mark.parametrize("field", TABLED + ABOVE_CAP, ids=str)
+def test_zero_operands_on_both_routes(warmed, field):
+    zero, x = field.zero(), field.element(3)
+    assert zero * x == x * zero == zero * zero == zero
+    assert zero.conj() == zero
+    with pytest.raises(DivisionByZero):
+        zero.inverse()
+    with pytest.raises(DivisionByZero):
+        x / zero
+
+
+@pytest.fixture
+def fresh_tables(monkeypatch):
+    """An empty table cache, so a test sees when its own work builds one."""
+    monkeypatch.setattr(starfield, "_LOG_TABLES", {})
+
+
+def test_tables_are_built_after_order_many_polynomial_operations(fresh_tables):
+    field = QuadExt(3, 1)
+    t = field.generator()
+    for _ in range(field.order - 1):
+        t * t
+    assert field._tables.log is None
+    t.conj()
+    assert field._tables.log is not None
+
+
+def test_short_lived_fields_build_no_table(fresh_tables):
+    field = QuadExt(89, 1)
+    field.generator()
+    assert field._tables.log is None
+    no_cloning_witness(field, 3)
+    assert field._tables.log is None
+
+
+def test_equal_descriptors_share_one_table(fresh_tables):
+    first, second = QuadExt(3, 3), QuadExt(3, 3)
+    assert first is not second and first._tables is second._tables
+    a, b = first.element("t"), first.element("1+t^4")
+    h = Matrix(first, [[1, a], [a.conj(), b + b.conj()]])
+    assert first._tables.log is None
+    eigen_decompose(h)
+    assert second._tables.log is not None
+    x = second.element("2+t^5")
+    assert (x * x.inverse()).payload == second.one().payload
