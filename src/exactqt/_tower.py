@@ -14,8 +14,6 @@ that root, used here by lift and by embed for the quadratic fields.
 from __future__ import annotations
 
 import functools
-import itertools
-from typing import Iterator
 
 from . import _fppoly
 from .errors import NoRootFound
@@ -34,9 +32,7 @@ class TowerField(FpQuotientField):
         self.n = n
         super().__init__(p, _fppoly.canonical_irreducible(p, n))
 
-    def elements(self) -> Iterator[Element]:
-        for tup in itertools.product(range(self.p), repeat=self.degree):
-            yield Element(self, tup)
+    elements = FpQuotientField.elements
 
     def shorthand(self) -> str:
         return f"tower:{self.p}:{self.n}"

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from .embed import _build_inclusion, extend_matrix
 from .errors import DimensionMismatch, FieldMismatch, ImproperField, NonSquare, WrongField
 from .forms import Matrix, StateVector, eigen_decompose, rank
+from .jsonio import _Record
 from .starfield import Element, QuadExt
 
 # Levels whose projective point count exceeds this are not scanned; the
@@ -79,7 +80,7 @@ def square_is_linear(phi: SemilinearMap) -> bool:
 
 
 @dataclass(frozen=True)
-class ProjectivePoint:
+class ProjectivePoint(_Record):
     """A normalized projective representative fixed by the extended map."""
 
     level: int
@@ -87,33 +88,15 @@ class ProjectivePoint:
     multiplier: str
     form_compatible: bool
 
-    def to_json(self) -> dict:
-        return {
-            "level": self.level,
-            "coordinates": list(self.coordinates),
-            "multiplier": self.multiplier,
-            "form_compatible": self.form_compatible,
-        }
-
 
 @dataclass(frozen=True)
-class FixedPointReport:
+class FixedPointReport(_Record):
     twist: int
     max_ext: int
     points: tuple[ProjectivePoint, ...]
     levels_scanned: tuple[int, ...]
     bound_too_small: bool
     notes: tuple[str, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "twist": self.twist,
-            "max_ext": self.max_ext,
-            "points": [p.to_json() for p in self.points],
-            "levels_scanned": list(self.levels_scanned),
-            "bound_too_small": self.bound_too_small,
-            "notes": list(self.notes),
-        }
 
 
 def _normalize(v: StateVector) -> StateVector:

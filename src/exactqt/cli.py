@@ -330,8 +330,7 @@ def entrypoint(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         out = args.fn(args)
-    except (ExactQTError, ValueError, ArithmeticError, KeyError, TypeError,
-            json.JSONDecodeError) as exc:
+    except (ExactQTError, ValueError, ArithmeticError, json.JSONDecodeError) as exc:
         code = exc.code if isinstance(exc, ExactQTError) else type(exc).__name__
         sys.stdout.write(dumps_canonical({"error": {"type": code, "message": str(exc)}}))
         return 1

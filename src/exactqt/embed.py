@@ -15,11 +15,12 @@ from dataclasses import dataclass
 from ._tower import _eval_at, _generator_image
 from .errors import EvenExtensionDegree, WrongField
 from .forms import Matrix, StateVector
+from .jsonio import _Record
 from .starfield import Element, QuadExt
 
 
 @dataclass(frozen=True)
-class EmbeddingCertificate:
+class EmbeddingCertificate(_Record):
     """Transcript of the exhaustive checks run on a finished embedding."""
 
     elements_checked: int
@@ -27,15 +28,6 @@ class EmbeddingCertificate:
     multiplication_pairs: int
     injective: bool
     involution_compatible: bool
-
-    def to_json(self) -> dict:
-        return {
-            "elements_checked": self.elements_checked,
-            "addition_pairs": self.addition_pairs,
-            "multiplication_pairs": self.multiplication_pairs,
-            "injective": self.injective,
-            "involution_compatible": self.involution_compatible,
-        }
 
 
 class FieldEmbedding:

@@ -8,6 +8,7 @@ and indentation so equal objects serialize byte-identically.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 from .compose import BipartiteState
@@ -17,6 +18,22 @@ from .starfield import FieldDescriptor, parse_field
 
 def dumps_canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+class _Record:
+    """Report dataclass base: to_json maps field names, in declaration order,
+    to values, writing tuples as lists and nested records as their to_json."""
+
+    def to_json(self) -> dict:
+        return {f.name: _plain(getattr(self, f.name)) for f in dataclasses.fields(self)}
+
+
+def _plain(value):
+    if isinstance(value, _Record):
+        return value.to_json()
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
 
 
 def matrix_to_json(m: Matrix) -> dict:
@@ -44,6 +61,13 @@ def bipartite_to_json(b: BipartiteState) -> dict:
 
 
 def _shape(obj) -> tuple[FieldDescriptor, int, int, list]:
+    if not isinstance(obj, dict):
+        raise ValueError("a matrix or vector document must be a JSON object")
+    missing = [key for key in ("field", "rows", "cols", "entries") if key not in obj]
+    if missing:
+        raise ValueError(f"the document has no {', '.join(missing)}")
+    if not isinstance(obj["field"], (str, dict)):
+        raise ValueError("field must be a shorthand string or a descriptor object")
     field = parse_field(obj["field"])
     rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
     if type(rows) is not int or type(cols) is not int:

@@ -28,6 +28,7 @@ from fractions import Fraction
 from ._tower import lift, tower_field
 from .errors import NotHomogeneous, ParseError
 from .forms import Polynomial
+from .jsonio import _Record
 from .starfield import Element, FieldDescriptor, PrimeField, _preimage_table
 
 
@@ -519,21 +520,13 @@ def eval_finite(sentence, field: FieldDescriptor) -> bool:
 
 
 @dataclass(frozen=True)
-class TowerVerdict:
+class TowerVerdict(_Record):
     """Outcome of a bounded closure search.  value None means Unknown."""
 
     value: bool | None
     certified: bool
     witness_level: int | None
     witness: dict[str, str] | None
-
-    def to_json(self) -> dict:
-        return {
-            "value": self.value,
-            "certified": self.certified,
-            "witness_level": self.witness_level,
-            "witness": self.witness,
-        }
 
 
 def _effective_existential_flags(f, positive: bool = True, out=None) -> list[bool]:
@@ -829,14 +822,6 @@ def _smallest_common_root(f1: list[Element], g1: list[Element], field) -> Elemen
     return next(h._iter_roots(), None)
 
 
-def _specialize_x0_y1(mono: dict, field, degree: int) -> list[Element]:
-    out = [field.zero()] * (degree + 1)
-    for (i, j, k), c in mono.items():
-        if i == 0:
-            out[k] = out[k] + c
-    return out
-
-
 def _specialize_x1(mono: dict, field, degree: int, y: Element) -> list[Element]:
     out = [field.zero()] * (degree + 1)
     ypow = [field.one()]
@@ -855,9 +840,10 @@ def _chart_scan(fm: TernaryForm, gm: TernaryForm, field) -> tuple[Element, Eleme
     gz = gm.monomials.get((0, 0, gm.degree))
     if (fz is None or fz.is_zero()) and (gz is None or gz.is_zero()):
         return (zero, zero, one)
-    z0 = _smallest_common_root(
-        _specialize_x0_y1(fm.monomials, field, fm.degree),
-        _specialize_x0_y1(gm.monomials, field, gm.degree), field)
+    fx0 = {e: c for e, c in fm.monomials.items() if e[0] == 0}
+    gx0 = {e: c for e, c in gm.monomials.items() if e[0] == 0}
+    z0 = _smallest_common_root(_specialize_x1(fx0, field, fm.degree, one),
+                               _specialize_x1(gx0, field, gm.degree, one), field)
     if z0 is not None:
         return (zero, one, z0)
     for y in field.elements():
@@ -870,7 +856,7 @@ def _chart_scan(fm: TernaryForm, gm: TernaryForm, field) -> tuple[Element, Eleme
 
 
 @dataclass(frozen=True)
-class CurvesMeetReport:
+class CurvesMeetReport(_Record):
     """Result of searching extension levels for a common projective zero."""
 
     meet: bool | None
@@ -878,15 +864,6 @@ class CurvesMeetReport:
     point: tuple[str, str, str] | None
     levels_scanned: int
     bound_too_small: bool
-
-    def to_json(self) -> dict:
-        return {
-            "meet": self.meet,
-            "level": self.level,
-            "point": list(self.point) if self.point else None,
-            "levels_scanned": self.levels_scanned,
-            "bound_too_small": self.bound_too_small,
-        }
 
 
 def curves_meet(p: int, f, g, max_level: int = 4) -> CurvesMeetReport:

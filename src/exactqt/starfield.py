@@ -11,8 +11,10 @@ Every finite field is an F_p[t]/(modulus) and is computed by one class,
 FpQuotientField: PrimeField is its degree-1 case F_p[t]/(t), and QuadExt
 and the internal tower fields of the closure evaluator extend it too.  So
 all finite elements share one representation (padded coefficient tuples),
-one arithmetic, one equality and one hash; the subclasses add only their
-checks, naming, enumeration and, for QuadExt, the Frobenius involution.
+one arithmetic, equality, hash and enumeration, in payload order, which is
+also sort_key's.  Subclasses add checks, naming and, for QuadExt, the
+Frobenius involution; each keeps elements = FpQuotientField.elements in its
+own body only because perfbench/spans.py wraps that entry per class.
 
 That arithmetic has two routes to the same answers.  The polynomial route
 (_fppoly's mulmod, invmod and powmod on coefficient tuples) always works.
@@ -105,13 +107,13 @@ class Element:
         return Element(self.owner, self.owner.payload_involute(self.payload))
 
     def is_zero(self) -> bool:
-        return self.payload == self.owner.payload_from_int(0)
+        return not any(self.payload)
 
     def is_fixed(self) -> bool:
         return self.owner.payload_involute(self.payload) == self.payload
 
     def sort_key(self):
-        return self.owner.payload_sort_key(self.payload)
+        return self.payload
 
     def __eq__(self, other) -> bool:
         return (
@@ -251,12 +253,13 @@ def _log_tables(p: int, modulus: tuple[int, ...]) -> _LogTables:
 class FpQuotientField(FieldDescriptor):
     """F_p[t]/(modulus) on coefficient tuples of length degree, low degree first.
 
-    The arithmetic, text form, element order and identity involution shared
-    by every finite field here: PrimeField (modulus t), QuadExt and the tower
-    fields.  Subclasses add their checks, naming and element enumeration, and
-    QuadExt its Frobenius involution.  The modulus is monic.  Two fields are
-    equal when type, p and modulus agree.  Products and inverses go through
-    the shared _LogTables once they are built, and through _fppoly before.
+    The arithmetic, text form, enumeration, element order and identity
+    involution shared by every finite field here: PrimeField (modulus t),
+    QuadExt and the tower fields.  Subclasses add their checks and naming,
+    and QuadExt its Frobenius involution.  The modulus is monic.  Two fields
+    are equal when type, p and modulus agree.  Products and inverses go
+    through the shared _LogTables once they are built, and through _fppoly
+    before.
     """
 
     def __init__(self, p: int, modulus: tuple[int, ...]):
@@ -316,11 +319,13 @@ class FpQuotientField(FieldDescriptor):
     def payload_format(self, a) -> str:
         return _fppoly.format_poly(_fppoly.trim(a))
 
-    def payload_sort_key(self, a):
-        return a
-
     def payload_involute(self, a):
         return a
+
+    def elements(self) -> Iterator[Element]:
+        """Every element, in canonical order: payload tuples ascending."""
+        for tup in itertools.product(range(self.p), repeat=self.degree):
+            yield Element(self, tup)
 
     def fixed_elements(self) -> tuple[Element, ...]:
         """The fixed field, in canonical element order (cached)."""
@@ -355,9 +360,7 @@ class PrimeField(FpQuotientField):
         except ValueError:
             raise ParseError(f"bad prime-field element {s!r}", 0) from None
 
-    def elements(self) -> Iterator[Element]:
-        for n in range(self.p):
-            yield Element(self, (n,))
+    elements = FpQuotientField.elements
 
     def shorthand(self) -> str:
         return f"prime:{self.p}"
@@ -408,9 +411,7 @@ class QuadExt(FpQuotientField):
         """The class of t, the canonical element outside the fixed field."""
         return Element(self, self._pad((0, 1)))
 
-    def elements(self) -> Iterator[Element]:
-        for tup in itertools.product(range(self.p), repeat=self.degree):
-            yield Element(self, tup)
+    elements = FpQuotientField.elements
 
     def shorthand(self) -> str:
         return f"quadext:{self.p}:{self.e}"
@@ -509,9 +510,6 @@ class GaussianRationals(FieldDescriptor):
             return im_text
         sign = "+" if im_part > 0 else ""
         return f"{re_part}{sign}{im_text}"
-
-    def payload_sort_key(self, a):
-        return a
 
     def imag_unit(self) -> Element:
         return Element(self, (Fraction(0), Fraction(1)))

@@ -1,10 +1,13 @@
 """Command-line surface: JSON outputs, exit codes, wire-format round trips."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from exactqt.cli import entrypoint
 from exactqt.jsonio import dumps_canonical, matrix_from_json, vector_to_json
@@ -321,6 +324,50 @@ def test_field_descriptor_is_strict(capsys, field):
     code, doc = run_cli(capsys, "form", "--left", left, "--right", "1", "--field", "prime:5")
     assert code == 1
     assert doc["error"]["type"] == "ValueError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["form", "--left", '{"rows":1,"cols":1,"entries":["1"]}', "--right", "1",
+     "--field", "prime:5"],
+    ["form", "--left", '{"field":5,"rows":1,"cols":1,"entries":["1"]}', "--right", "1",
+     "--field", "prime:5"],
+    ["fixpoints", "--map", '{"aut_exponent":0,"rows":1,"cols":1,"entries":["1"]}'],
+])
+def test_document_needs_every_key_and_a_field_spec(capsys, argv):
+    code, doc = run_cli(capsys, *argv)
+    assert code == 1
+    assert doc["error"]["type"] == "ValueError"
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6)
+# Values that pass some of _shape's checks, so that later checks run too.
+_PLAUSIBLE = {
+    "field": st.sampled_from(["prime:5", "quadext:3:1", "gaussian", {"kind": "prime", "p": 5},
+                              {"kind": "quadext", "p": 3, "e": 1}, {"p": 3}]),
+    "rows": st.integers(-1, 3),
+    "cols": st.integers(-1, 3),
+    "entries": st.lists(st.integers(-9, 9) | st.sampled_from(["1", "t", "i", "1/2", "x"]),
+                        max_size=4),
+}
+
+
+@settings(max_examples=200)
+@given(st.fixed_dictionaries({}, optional={key: values | _JSON_VALUES
+                                           for key, values in _PLAUSIBLE.items()}))
+def test_form_documents_end_in_json_with_a_typed_error(document):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = entrypoint(["form", "--left", json.dumps(document), "--right", "1",
+                           "--field", "prime:5"])
+    assert code in (0, 1)
+    doc = json.loads(out.getvalue())
+    if code == 1:
+        assert doc["error"]["type"] not in ("KeyError", "TypeError")
 
 
 @pytest.mark.parametrize("dims", [[2.7, "2"], [True, 2]])

@@ -68,6 +68,12 @@ def test_element_order_is_payload_order():
     assert [str(x) for x in PrimeField(3).elements()] == ["0", "1", "2"]
 
 
+def test_is_zero_agrees_with_equality_to_zero():
+    values = [*PrimeField(2).elements(), *F9.elements(), *tower_field(2, 3).elements(),
+              *map(QI.element, ("0", "0i", "1/2", "i"))]
+    assert [x.is_zero() for x in values] == [x == x.owner.zero() for x in values]
+
+
 @pytest.mark.parametrize("field", [F4, F9, F16, F25])
 def test_involution_is_ring_automorphism_exhaustive(field):
     els = list(field.elements())
