@@ -184,8 +184,12 @@ def format_poly(coeffs: tuple[int, ...]) -> str:
     return "+".join(terms) if terms else "0"
 
 
-def parse_poly(text: str, p: int) -> tuple[int, ...]:
-    """Parse '1+2t', 't^2', '2', '-t' style strings into a coefficient tuple."""
+def parse_poly(text: str, p: int, modulus) -> tuple[int, ...]:
+    """Parse '1+2t', 't^2', '2', '-t' style strings and reduce them mod modulus.
+
+    A power of t at or above the modulus degree is reduced by repeated
+    squaring, so t^k costs time in log k, not in k.
+    """
     s = text.replace(" ", "")
     if not s:
         raise ParseError("empty element string", 0)
@@ -208,8 +212,11 @@ def parse_poly(text: str, p: int) -> tuple[int, ...]:
             break
         sign = -1 if s[j] == "-" else 1
         i = j + 1
-    n = max(coeffs) + 1 if coeffs else 1
-    return trim(tuple(coeffs.get(k, 0) % p for k in range(n)))
+    out = trim(tuple(coeffs.get(k, 0) % p for k in range(deg(modulus))))
+    for k, c in coeffs.items():
+        if k >= deg(modulus) and c % p:
+            out = add(out, mul((c % p,), powmod((0, 1), k, modulus, p), p), p)
+    return out
 
 
 def _parse_term(term: str, offset: int) -> tuple[int, int]:

@@ -15,6 +15,11 @@ A decisive answer is promoted to a certified one exactly when finite search
 proves it for the full closure: value True with every quantifier effectively
 existential, or value False with every quantifier effectively universal,
 where "effectively" accounts for the parity of enclosing negations.
+
+The parser names every quantifier apart as it reads it.  One walk prepares
+a sentence for search (free-variable check, vacuous-quantifier strip and
+certification flags), once per call; lefschetz_sample shares it between
+its primes.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from ._tower import lift, tower_field
 from .errors import NotHomogeneous, ParseError
@@ -43,27 +49,35 @@ class Lit:
 
 
 @dataclass(frozen=True)
-class Add:
+class _Binary:
+    """The two-child nodes: the term operators, equations and connectives."""
+
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Sub:
-    left: object
-    right: object
+class Add(_Binary):
+    pass
 
 
-@dataclass(frozen=True)
-class Mul:
-    left: object
-    right: object
+class Sub(_Binary):
+    pass
 
 
-@dataclass(frozen=True)
-class Eq:
-    left: object
-    right: object
+class Mul(_Binary):
+    pass
+
+
+class Eq(_Binary):
+    pass
+
+
+class And(_Binary):
+    pass
+
+
+class Or(_Binary):
+    pass
 
 
 @dataclass(frozen=True)
@@ -72,27 +86,17 @@ class Not:
 
 
 @dataclass(frozen=True)
-class And:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Or:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Exists:
+class _Quantifier:
     var: str
     body: object
 
 
-@dataclass(frozen=True)
-class Forall:
-    var: str
-    body: object
+class Exists(_Quantifier):
+    pass
+
+
+class Forall(_Quantifier):
+    pass
 
 
 _KEYWORDS = {"E", "A"}
@@ -132,9 +136,12 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
 
 # Deeper or longer sentences are refused with a ParseError before Python's
 # own recursion limit is reached, here or in the recursive passes after
-# parsing.  Every tree node owns a token of its own (an operator, keyword or
-# leaf), so the token cap also bounds the height of the tree, flat chains
-# such as x + x + ... + x included, and the passes recurse once per level.
+# parsing: free_variables, alpha_rename, expand_literals, pretty, the
+# preparation walk of _closed_sentence and the search with _eval_term.
+# Every tree node owns a token of its own (an operator, keyword or leaf), so
+# the token cap also bounds the height of the tree, flat chains such as
+# x + x + ... + x included, and each pass recurses once, one Python frame,
+# per level.
 # The brackets of a negated equation, !(a = b), count neither as a level nor
 # as tokens: pretty always writes them, and a text written without them
 # must still parse back from its printed form within the same limits.  They
@@ -147,7 +154,12 @@ _MAX_TOKENS = 500
 class _Parser:
     """Recursive descent; it backtracks only at a '(' in atom position, which
     may open either a subformula or a parenthesized term, and at a '(' right
-    after '!', which is first read as the free brackets of one equation."""
+    after '!', which is first read as the free brackets of one equation.
+
+    Each quantifier binds a name of its own: the first binding of a name
+    keeps it, a later one takes the first name{k} that occurs nowhere in the
+    text and was not handed out before.  Free variables keep their names.
+    """
 
     def __init__(self, toks):
         self.toks = toks
@@ -155,6 +167,9 @@ class _Parser:
         self.free = 0  # tokens read so far that the token cap does not count
         self.depth = 0
         self.over_limit: ParseError | None = None
+        self.in_text = {v for k, v, _ in toks if k == "name"}
+        self.used: set[str] = set()  # binder names handed out so far
+        self.scope: dict[str, str] = {}  # written name -> its binder's name
 
     def refuse(self, message: str, pos: int):
         """A size limit was hit; no backtrack can get round it."""
@@ -187,16 +202,29 @@ class _Parser:
             raise ParseError(f"expected {kind!r}", t[2])
         return t
 
+    def bind(self, name: str) -> str:
+        if name in self.used:
+            k = 0
+            while f"{name}{k}" in self.in_text or f"{name}{k}" in self.used:
+                k += 1
+            name = f"{name}{k}"
+        self.used.add(name)
+        return name
+
     def formula(self):
         k, v, pos = self.peek()
-        if k == "kw" and v in ("E", "A"):
+        if k == "kw":
             self.advance()
             name = self.advance()
             if name[0] != "name":
                 raise ParseError("expected a variable name after the quantifier", name[2])
             self.expect(".")
+            var = self.bind(name[1])
+            outer = self.scope
+            self.scope = {**outer, name[1]: var}
             body = self.nested(self.formula, pos)
-            return (Exists if v == "E" else Forall)(name[1], body)
+            self.scope = outer
+            return (Exists if v == "E" else Forall)(var, body)
         return self.or_f()
 
     def or_f(self):
@@ -242,7 +270,9 @@ class _Parser:
     def atom(self):
         k, _, pos = self.peek()
         if k == "(":
-            mark = (self.i, self.free)
+            # a subformula that bound a quantifier and failed fails the whole
+            # parse (no term spans a keyword); the names are restored anyway
+            mark = (self.i, self.free, self.scope, set(self.used))
             self.advance()
             try:
                 f = self.nested(self.formula, pos)
@@ -251,7 +281,7 @@ class _Parser:
             except ParseError as exc:
                 if exc is self.over_limit:
                     raise  # a backtrack would only hit the same limit
-                self.i, self.free = mark
+                self.i, self.free, self.scope, self.used = mark
         return self.equation()
 
     def equation(self):
@@ -276,7 +306,7 @@ class _Parser:
     def factor(self):
         k, v, pos = self.advance()
         if k == "name":
-            return Var(v)
+            return Var(self.scope.get(v, v))
         if k == "int":
             return Lit(v)
         if k == "(":
@@ -286,61 +316,13 @@ class _Parser:
         raise ParseError("expected a variable, literal, or parenthesized term", pos)
 
 
-def _all_names(formula) -> set[str]:
-    if isinstance(formula, Var):
-        return {formula.name}
-    if isinstance(formula, Lit):
-        return set()
-    if isinstance(formula, (Add, Sub, Mul, Eq, And, Or)):
-        return _all_names(formula.left) | _all_names(formula.right)
-    if isinstance(formula, Not):
-        return _all_names(formula.body)
-    return {formula.var} | _all_names(formula.body)
-
-
-def _rename_binders(formula, fresh):
-    """Rebind each quantifier to fresh(its name), renaming its bound occurrences."""
-
-    def walk(node, env):
-        if isinstance(node, Var):
-            return Var(env.get(node.name, node.name))
-        if isinstance(node, Lit):
-            return node
-        if isinstance(node, (Add, Sub, Mul, Eq, And, Or)):
-            return type(node)(walk(node.left, env), walk(node.right, env))
-        if isinstance(node, Not):
-            return Not(walk(node.body, env))
-        new = fresh(node.var)
-        return type(node)(new, walk(node.body, {**env, node.var: new}))
-
-    return walk(formula, {})
-
-
-def _unique_binders(formula):
-    """Rename any re-bound variable so each quantifier binds a fresh name."""
-    used: set[str] = set()
-    taken = _all_names(formula)
-
-    def fresh(name: str) -> str:
-        if name in used:
-            k = 0
-            while f"{name}{k}" in taken:
-                k += 1
-            name = f"{name}{k}"
-        used.add(name)
-        taken.add(name)
-        return name
-
-    return _rename_binders(formula, fresh)
-
-
 def parse_sentence(text: str):
     p = _Parser(_tokenize(text))
     f = p.formula()
     k, _, pos = p.peek()
     if k != "end":
         raise ParseError("trailing input after the sentence", pos)
-    return _unique_binders(f)
+    return f
 
 
 _OR_PREC, _AND_PREC, _NOT_PREC = 1, 2, 3
@@ -386,7 +368,7 @@ def free_variables(formula) -> frozenset[str]:
         return frozenset((formula.name,))
     if isinstance(formula, Lit):
         return frozenset()
-    if isinstance(formula, (Add, Sub, Mul, Eq, And, Or)):
+    if isinstance(formula, _Binary):
         return free_variables(formula.left) | free_variables(formula.right)
     if isinstance(formula, Not):
         return free_variables(formula.body)
@@ -400,42 +382,38 @@ def alpha_rename(formula, prefix: str = "v"):
     sentences differing only in bound names get identical trees.
     """
     free = free_variables(formula)
-    counter = itertools.count()
+    names = (f"{prefix}{k}" for k in itertools.count())
+    fresh = (name for name in names if name not in free)
 
-    def fresh(_name: str) -> str:
-        while True:
-            cand = f"{prefix}{next(counter)}"
-            if cand not in free:
-                return cand
+    def walk(node, env):
+        if isinstance(node, Var):
+            return Var(env.get(node.name, node.name))
+        if isinstance(node, Lit):
+            return node
+        if isinstance(node, _Binary):
+            return type(node)(walk(node.left, env), walk(node.right, env))
+        if isinstance(node, Not):
+            return Not(walk(node.body, env))
+        new = next(fresh)
+        return type(node)(new, walk(node.body, {**env, node.var: new}))
 
-    return _rename_binders(formula, fresh)
+    return walk(formula, {})
 
 
 def expand_literals(formula):
     """Rewrite every literal above 1 as a left-nested sum of ones."""
-
-    def term(t):
-        if isinstance(t, Lit):
-            if t.value <= 1:
-                return t
-            acc = Lit(1)
-            for _ in range(t.value - 1):
-                acc = Add(acc, Lit(1))
-            return acc
-        if isinstance(t, (Add, Sub, Mul)):
-            return type(t)(term(t.left), term(t.right))
-        return t
-
-    def walk(f):
-        if isinstance(f, Eq):
-            return Eq(term(f.left), term(f.right))
-        if isinstance(f, Not):
-            return Not(walk(f.body))
-        if isinstance(f, (And, Or)):
-            return type(f)(walk(f.left), walk(f.right))
-        return type(f)(f.var, walk(f.body))
-
-    return walk(formula)
+    if isinstance(formula, Lit) and formula.value > 1:
+        acc = Lit(1)
+        for _ in range(formula.value - 1):
+            acc = Add(acc, Lit(1))
+        return acc
+    if isinstance(formula, _Binary):
+        return type(formula)(expand_literals(formula.left), expand_literals(formula.right))
+    if isinstance(formula, Not):
+        return Not(expand_literals(formula.body))
+    if isinstance(formula, _Quantifier):
+        return type(formula)(formula.var, expand_literals(formula.body))
+    return formula
 
 
 def _eval_term(t, env: dict, field: FieldDescriptor) -> Element:
@@ -455,14 +433,45 @@ def _eval_term(t, env: dict, field: FieldDescriptor) -> Element:
     return a * b
 
 
-def _closed_sentence(sentence):
-    """Parse sentence if it is text, and reject free variables."""
+class _Prepared(NamedTuple):
+    tree: object
+    stripped: object  # tree without vacuous quantifiers
+    flags: list[bool]  # per quantifier of stripped: does it act existentially?
+
+
+def _closed_sentence(sentence) -> _Prepared:
+    """Parse sentence if it is text, reject free variables, and prepare it.
+
+    One bottom-up walk returns each subtree without its vacuous quantifiers,
+    those whose variable is not free in their stripped body, together with
+    its free variables.  Every field is nonempty, so E x . phi and A x . phi
+    both mean phi there, and stripping first makes ground sentences
+    certifiable in either direction.
+    """
     if isinstance(sentence, str):
         sentence = parse_sentence(sentence)
-    free = free_variables(sentence)
+    flags: list[bool] = []
+
+    def walk(f, positive: bool):
+        if isinstance(f, Eq):
+            return f, free_variables(f)
+        if isinstance(f, Not):
+            body, free = walk(f.body, not positive)
+            return Not(body), free
+        if isinstance(f, _Binary):
+            left, left_free = walk(f.left, positive)
+            right, right_free = walk(f.right, positive)
+            return type(f)(left, right), left_free | right_free
+        body, free = walk(f.body, positive)
+        if f.var not in free:
+            return body, free
+        flags.append(positive == isinstance(f, Exists))
+        return type(f)(f.var, body), free - {f.var}
+
+    stripped, free = walk(sentence, True)
     if free:
         raise ValueError(f"sentence has free variables: {', '.join(sorted(free))}")
-    return sentence
+    return _Prepared(sentence, stripped, flags)
 
 
 def _search(sentence, field_at, extensions):
@@ -515,8 +524,8 @@ def _search(sentence, field_at, extensions):
 
 def eval_finite(sentence, field: FieldDescriptor) -> bool:
     """Brute-force truth value over one finite field."""
-    sentence = _closed_sentence(sentence)
-    return _search(sentence, lambda n: field, lambda n: ([n], False))[0]
+    stripped = _closed_sentence(sentence).stripped
+    return _search(stripped, lambda n: field, lambda n: ([n], False))[0]
 
 
 @dataclass(frozen=True)
@@ -529,40 +538,6 @@ class TowerVerdict(_Record):
     witness: dict[str, str] | None
 
 
-def _effective_existential_flags(f, positive: bool = True, out=None) -> list[bool]:
-    """One flag per quantifier: True when it acts existentially after negations."""
-    if out is None:
-        out = []
-    if isinstance(f, Eq):
-        return out
-    if isinstance(f, Not):
-        return _effective_existential_flags(f.body, not positive, out)
-    if isinstance(f, (And, Or)):
-        _effective_existential_flags(f.left, positive, out)
-        return _effective_existential_flags(f.right, positive, out)
-    out.append(positive if isinstance(f, Exists) else not positive)
-    return _effective_existential_flags(f.body, positive, out)
-
-
-def _strip_vacuous(formula):
-    """Drop quantifiers whose variable never occurs in the (stripped) body.
-
-    Every field is nonempty, so E x . phi and A x . phi both mean phi when x
-    is not free in phi.  Stripping first makes ground sentences certifiable
-    in either direction.
-    """
-    if isinstance(formula, Eq):
-        return formula
-    if isinstance(formula, Not):
-        return Not(_strip_vacuous(formula.body))
-    if isinstance(formula, (And, Or)):
-        return type(formula)(_strip_vacuous(formula.left), _strip_vacuous(formula.right))
-    body = _strip_vacuous(formula.body)
-    if formula.var not in free_variables(body):
-        return body
-    return type(formula)(formula.var, body)
-
-
 def eval_closure(sentence, p: int, max_level: int = 2, ambient_bound: int = 4) -> TowerVerdict:
     """Three-valued truth of a sentence over the algebraic closure of F_p.
 
@@ -572,21 +547,21 @@ def eval_closure(sentence, p: int, max_level: int = 2, ambient_bound: int = 4) -
     skipped, and any skip makes a non-decisive answer Unknown instead of
     False/True.
     """
-    sentence = _closed_sentence(sentence)
+    if not isinstance(sentence, _Prepared):  # lefschetz_sample prepares once for every prime
+        sentence = _closed_sentence(sentence)
+    _, stripped, flags = sentence
     if max_level < 1 or ambient_bound < 1:
         raise ValueError("max_level and ambient_bound must be positive")
     tower_field(p, 1)  # validates p
-    sentence = _strip_vacuous(sentence)
 
     def extensions(n: int):
         ambients = [n * d for d in range(1, max_level + 1)]
         return [m for m in ambients if m <= ambient_bound], ambients[-1] > ambient_bound
 
-    value, witness, level = _search(sentence, lambda n: tower_field(p, n), extensions)
-    flags = _effective_existential_flags(sentence)
-    certified = (value is True and all(flags)) or (value is False and not any(flags))
+    value, witness, level = _search(stripped, lambda n: tower_field(p, n), extensions)
     if value is None:
         return TowerVerdict(None, False, None, None)
+    certified = all(flags) if value else not any(flags)
     return TowerVerdict(value, certified, level, witness)
 
 
@@ -651,12 +626,12 @@ def lefschetz_sample(sentence, primes=(2, 3, 5, 7, 11, 13, 17, 19, 23, 29),
     algebraically closed fields of characteristic zero; disagreement or a
     total lack of certificates leaves the conjecture empty.
     """
-    sentence = _closed_sentence(sentence)
+    prepared = _closed_sentence(sentence)
     ps = sorted(set(primes))
     if not ps:
         raise ValueError("at least one prime is required")
-    canon = pretty(sentence)
-    verdicts = tuple((q, eval_closure(sentence, q, max_level, ambient_bound)) for q in ps)
+    canon = pretty(prepared.tree)
+    verdicts = tuple((q, eval_closure(prepared, q, max_level, ambient_bound)) for q in ps)
     certified = [v.value for _, v in verdicts if v.certified]
     n_true = sum(1 for v in certified if v is True)
     n_false = sum(1 for v in certified if v is False)

@@ -38,6 +38,7 @@ module (or the package) touches floating point.
 from __future__ import annotations
 
 import itertools
+import sys
 from fractions import Fraction
 from typing import Iterator
 
@@ -313,8 +314,7 @@ class FpQuotientField(FieldDescriptor):
         raise DivisionByZero(f"0 has no inverse in {self.shorthand()}")
 
     def payload_parse(self, s: str) -> tuple[int, ...]:
-        raw = _fppoly.parse_poly(s, self.p)
-        return self._pad(_fppoly.mod(raw, self.modulus, self.p))
+        return self._pad(_fppoly.parse_poly(s, self.p, self.modulus))
 
     def payload_format(self, a) -> str:
         return _fppoly.format_poly(_fppoly.trim(a))
@@ -420,6 +420,19 @@ class QuadExt(FpQuotientField):
         return {"kind": "quadext", "p": self.p, "e": self.e, "modulus": list(self.modulus)}
 
 
+def _exponent_too_large(number: str) -> bool:
+    """Whether number's decimal exponent exceeds int()'s digit cap.
+
+    Fraction("1e10000000") spends seconds building a ten-million-digit
+    integer, while the same number written out in full is refused at once,
+    by that cap.
+    """
+    cap = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    _, e, exponent = number.lower().rpartition("e")
+    digits = exponent.replace("_", "").lstrip("0")
+    return bool(e) and digits.isdecimal() and (len(digits) > len(str(cap)) or int(digits) > cap)
+
+
 class GaussianRationals(FieldDescriptor):
     """Q(i) with complex conjugation; payloads are (Fraction, Fraction) pairs."""
 
@@ -475,6 +488,8 @@ class GaussianRationals(FieldDescriptor):
         re_part, im_part = Fraction(0), Fraction(0)
         seen_re = seen_im = False
         for piece in pieces:
+            if _exponent_too_large(piece.removesuffix("i")):
+                raise ParseError(f"decimal exponent too large in {s!r}", 0)
             try:
                 if piece.endswith("i"):
                     if seen_im:

@@ -161,6 +161,14 @@ def test_embed_certificate(capsys):
     assert doc["error"]["type"] == "EvenExtensionDegree"
 
 
+def test_huge_gaussian_exponent_is_a_parse_error(capsys):
+    code, doc = run_cli(capsys, "form", "--field", "gaussian", "--left", "1e10000000",
+                        "--right", "1")
+    assert code == 1
+    assert doc["error"]["type"] == "ParseError"
+    assert "exponent" in doc["error"]["message"]
+
+
 def test_lefschetz_eval(capsys):
     code, doc = run_cli(capsys, "lefschetz", "eval",
                         "--sentence", "E x . x*x + 1 = 0", "--p", "3")

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from exactqt import (
     Polynomial,
@@ -21,7 +21,9 @@ from exactqt import (
     pretty,
 )
 from exactqt.errors import NotHomogeneous, ParseError
-from exactqt.lefschetz import Add, Eq, Exists, Forall, Lit, Mul, Sub, Var, _random_sentence
+from exactqt.lefschetz import (
+    Add, And, Eq, Exists, Forall, Lit, Mul, Not, Or, Sub, Var, _eval_term, _random_sentence,
+)
 from exactqt._tower import tower_field
 
 F3 = PrimeField(3)
@@ -138,6 +140,91 @@ def test_parse_renames_rebound_variables():
     # the rename is semantics-preserving: the inner binder shadows the outer
     assert eval_finite(g, F3) is True
     assert eval_finite("A y . E y . y = 0", F3) is True
+
+
+# The parser names binders as it reads them.  The oracle below renames them
+# after the fact, in a separate walk over the finished tree: a quantifier
+# rebinding a name already bound takes the first name{k} found nowhere in the
+# tree and not handed out before.
+
+
+def _all_names(formula) -> set[str]:
+    if isinstance(formula, Var):
+        return {formula.name}
+    if isinstance(formula, Lit):
+        return set()
+    if isinstance(formula, (Add, Sub, Mul, Eq, And, Or)):
+        return _all_names(formula.left) | _all_names(formula.right)
+    if isinstance(formula, Not):
+        return _all_names(formula.body)
+    return {formula.var} | _all_names(formula.body)
+
+
+def _rename_binders(formula, fresh):
+    """Rebind each quantifier to fresh(its name), renaming its bound occurrences."""
+
+    def walk(node, env):
+        if isinstance(node, Var):
+            return Var(env.get(node.name, node.name))
+        if isinstance(node, Lit):
+            return node
+        if isinstance(node, (Add, Sub, Mul, Eq, And, Or)):
+            return type(node)(walk(node.left, env), walk(node.right, env))
+        if isinstance(node, Not):
+            return Not(walk(node.body, env))
+        new = fresh(node.var)
+        return type(node)(new, walk(node.body, {**env, node.var: new}))
+
+    return walk(formula, {})
+
+
+def _unique_binders(formula):
+    """Rename any re-bound variable so each quantifier binds a fresh name."""
+    used: set[str] = set()
+    taken = _all_names(formula)
+
+    def fresh(name: str) -> str:
+        if name in used:
+            k = 0
+            while f"{name}{k}" in taken:
+                k += 1
+            name = f"{name}{k}"
+        used.add(name)
+        taken.add(name)
+        return name
+
+    return _rename_binders(formula, fresh)
+
+
+# one name bound again and again, with "x0" and "x1" in the text to clash
+# with the names a rebinding would take
+_NAMES = st.sampled_from(["x", "x", "x", "x0", "x1", "y"])
+_TERMS = st.recursive(
+    st.one_of(st.builds(Var, _NAMES), st.builds(Lit, st.integers(0, 2))),
+    lambda sub: st.one_of(st.builds(Add, sub, sub), st.builds(Sub, sub, sub),
+                          st.builds(Mul, sub, sub)),
+    max_leaves=3)
+_FORMULAS = st.recursive(
+    st.builds(Eq, _TERMS, _TERMS),
+    lambda sub: st.one_of(st.builds(Not, sub), st.builds(And, sub, sub), st.builds(Or, sub, sub),
+                          st.builds(Exists, _NAMES, sub), st.builds(Forall, _NAMES, sub)),
+    max_leaves=6)
+
+
+@settings(max_examples=300)
+@given(_FORMULAS)
+@example(Exists("x", And(Exists("x", Eq(Var("x"), Lit(0))), Forall("x", Eq(Var("x"), Var("x0"))))))
+@example(Forall("x", Not(Exists("x", Or(Eq(Var("x"), Lit(1)), Exists("x", Eq(Var("x"), Var("x"))))))))
+def test_parser_names_binders_as_the_rename_oracle_does(tree):
+    assert parse_sentence(pretty(tree)) == _unique_binders(tree)
+
+
+def test_a_failed_bracketed_subformula_that_bound_a_quantifier_fails_the_parse():
+    # atom() backtracks from a subformula to a term at '('; no term spans a keyword
+    for text in ("E x . (E x . x = 0 & ) = 1", "(E x . x = 0 & x) = 1",
+                 "E x . (x = 0 | (E x . x = 1) x) = 0"):
+        with pytest.raises(ParseError):
+            parse_sentence(text)
 
 
 def test_pretty_parse_round_trip_canonical():
@@ -282,6 +369,16 @@ def test_closure_vacuous_quantifiers_certify_ground_truths():
         assert u.value is True and u.certified
 
 
+def test_negation_flips_how_a_quantifier_acts():
+    for p in (2, 3, 5):
+        # E under ! acts universally: a True verdict is not proved by finite search
+        v = eval_closure("!(E x . x = 1 & x = 0)", p)
+        assert v.value is True and not v.certified
+        # A under ! acts existentially: its counterexample proves the negation
+        w = eval_closure("!(A x . x = 0)", p)
+        assert w.value is True and w.certified
+
+
 def test_certified_verdicts_stable_under_larger_bounds():
     rng = random.Random(79)
     sampled = [_random_sentence(rng) for _ in range(40)]
@@ -367,6 +464,45 @@ def test_sample_sorts_and_dedups_primes():
     assert [p for p, _ in rep.verdicts] == [2, 3, 5]
     with pytest.raises(ValueError):
         lefschetz_sample("E x . x = 0", primes=())
+
+
+def _naive_truth(f, field, env):
+    """Truth over one finite field, by the textbook recursion on the tree as built."""
+    if isinstance(f, Eq):
+        return _eval_term(f.left, env, field) == _eval_term(f.right, env, field)
+    if isinstance(f, Not):
+        return not _naive_truth(f.body, field, env)
+    if isinstance(f, (And, Or)):
+        left, right = _naive_truth(f.left, field, env), _naive_truth(f.right, field, env)
+        return (left and right) if isinstance(f, And) else (left or right)
+    values = [_naive_truth(f.body, field, {**env, f.var: x}) for x in field.elements()]
+    return any(values) if isinstance(f, Exists) else all(values)
+
+
+X = Var("x")
+
+# built without the parser: inner binders shadow outer ones of the same name,
+# and some quantifiers bind a variable their body never uses
+SHADOWED_OR_VACUOUS = [
+    Exists("x", Exists("x", Eq(Mul(X, X), Lit(2)))),
+    Forall("x", And(Exists("x", Eq(X, Lit(1))), Eq(Add(X, X), Mul(Lit(2), X)))),
+    Not(Exists("y", Forall("x", Eq(X, X)))),
+    Exists("x", Or(Forall("x", Eq(Mul(X, X), X)), Eq(X, Lit(0)))),
+    Forall("x", Not(Exists("y", Eq(Lit(1), Lit(0))))),
+    Forall("y", Exists("x", Forall("x", Not(Eq(Mul(X, X), Add(X, Lit(1))))))),
+    Exists("x", Forall("y", Or(Eq(Mul(X, X), Var("y")), Not(Eq(X, X))))),
+    Exists("y", Exists("x", Eq(Add(Mul(X, X), X), Lit(1)))),
+]
+
+
+@pytest.mark.parametrize("tree", SHADOWED_OR_VACUOUS, ids=pretty)
+def test_sample_verdicts_equal_closure_verdicts_on_shadowed_and_vacuous_trees(tree):
+    primes = (2, 3, 5)
+    rep = lefschetz_sample(tree, primes=primes)
+    assert rep.sentence == pretty(tree)
+    assert rep.verdicts == tuple((p, eval_closure(tree, p)) for p in primes)
+    for field in (tower_field(2, 1), tower_field(2, 2), tower_field(3, 1)):
+        assert eval_finite(tree, field) == _naive_truth(tree, field, {})
 
 
 def test_ternary_form_parsing():

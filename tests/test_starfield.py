@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from exactqt import (
     Element,
@@ -239,6 +239,25 @@ def test_element_parse_rejects_garbage():
     for text in ("t", "1+2", "2t"):
         with pytest.raises(ParseError):
             PrimeField(5).element(text)
+
+
+@settings(max_examples=200)
+@given(st.sampled_from([F9, QuadExt(2, 2), tower_field(2, 3)]),
+       st.integers(0, 10**18), st.integers(0, 6))
+@example(F9, 10**6, 1)
+@example(tower_field(2, 3), 2, 1)
+def test_powers_of_t_in_element_text_reduce_by_squaring(field, k, c):
+    t = field.element("t")
+    assert field.element(f"t^{k}") == t ** k
+    assert field.element(f"1+{c}t^{k}-t") == field.one() + field.element(c) * t ** k - t
+
+
+def test_gaussian_exponents_above_the_digit_cap_are_refused():
+    assert QI.element("1e5") == gaussian(100000)
+    assert QI.element("2-3e2i") == gaussian(2, -300)
+    for text in ("1e10000000", "1+1e4301i", "1e10_000_000", "1.5e" + "9" * 5000):
+        with pytest.raises(ParseError, match="exponent"):
+            QI.element(text)
 
 
 def test_fixed_field_coordinates():
