@@ -159,12 +159,19 @@ def _cmd_embed(args) -> dict:
     return build_embedding(f, args.m).to_json()
 
 
+# A --primes range a..b may span at most this many integers.
+PRIME_RANGE_CAP = 1000
+
+
 def _parse_primes(text: str) -> tuple[int, ...]:
     """Prime lists: either "a..b" (inclusive range) or "2,3,5"."""
     text = text.strip()
     if ".." in text:
         lo_s, _, hi_s = text.partition("..")
         lo, hi = int(lo_s), int(hi_s)
+        if hi - lo + 1 > PRIME_RANGE_CAP:
+            raise ValueError(f"the range {lo}..{hi} spans {hi - lo + 1} integers; "
+                             f"at most {PRIME_RANGE_CAP} are allowed")
         ps = tuple(n for n in range(max(lo, 2), hi + 1) if is_prime(n))
         if not ps:
             raise ValueError(f"no primes in the range {lo}..{hi}")

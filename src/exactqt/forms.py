@@ -9,14 +9,16 @@ ring, which stays exact in every characteristic; eigenvalues come from
 Polynomial.roots, an exhaustive root scan over finite fields and, over Q(i),
 Newton lifting of the squarefree part's roots from an inert prime p = 3
 (mod 4) (so the owner-field spectrum is always complete, even when the
-closure spectrum is not).
+closure spectrum is not).  Over Q(i) that lifting reads the coefficients'
+integer triples (a, b, d) directly (see starfield); the candidates share
+one denominator, so they are sorted as Gaussian integers before any
+element is built.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
 from ._gaussint import gaussian_root_candidates
@@ -524,28 +526,29 @@ def eigen_decompose(m: Matrix) -> EigenDecomposition:
 
 
 def _gaussian_rational_roots(cp: Polynomial) -> list[Element]:
-    """Every root of cp lying in Q(i); cp is monic with Q(i) coefficients.
+    """Every root of cp lying in Q(i), in element order; cp is monic with
+    Q(i) coefficients.
 
-    The squarefree part g = cp / gcd(cp, cp') has the same roots.  Scaling
-    mu = D*x turns g into a monic Z[i] polynomial, whose Q(i) roots are
-    Gaussian integers (Z[i] is integrally closed); _gaussint lifts them
-    from an inert prime, and each candidate is kept only if it is a root.
+    The squarefree part g = cp / gcd(cp, cp') has the same roots.  With D
+    the lcm of g's coefficient denominators, mu = D*x turns g into a monic
+    Z[i] polynomial, whose Q(i) roots are Gaussian integers (Z[i] is
+    integrally closed); _gaussint lifts them from an inert prime, and each
+    candidate is kept only if it is a root.  Every candidate mu stands for
+    mu/D over the same D > 0, so sorting the mu sorts the roots.
     """
     f = cp.owner
     assert isinstance(f, GaussianRationals) and cp.is_monic()
     g = cp.exact_div(cp.gcd(cp._derivative()))
     n = g.degree
-    denoms = [frac.denominator for c in g.coeffs for frac in c.payload]
-    d_scale = math.lcm(*denoms)
-    scaled: list[tuple[int, int]] = []
+    d_scale = math.lcm(*(c.payload[2] for c in g.coeffs))
+    scaled = []
     for k, c in enumerate(g.coeffs):
-        re_s = c.payload[0] * d_scale ** (n - k)
-        im_s = c.payload[1] * d_scale ** (n - k)
-        assert re_s.denominator == 1 and im_s.denominator == 1
-        scaled.append((int(re_s), int(im_s)))
+        a, b, d = c.payload
+        s = d_scale ** (n - k) // d
+        scaled.append((a * s, b * s))
     roots = []
-    for mu in gaussian_root_candidates(scaled):
-        lam = f.element((Fraction(mu[0], d_scale), Fraction(mu[1], d_scale)))
+    for re_s, im_s in sorted(gaussian_root_candidates(scaled)):
+        lam = f.element((re_s, im_s, d_scale))
         if cp.evaluate(lam).is_zero():
             roots.append(lam)
-    return sorted(roots, key=lambda x: x.sort_key())
+    return roots

@@ -233,4 +233,4 @@ def probability_profile(psi: StateVector) -> list[Fraction]:
     """
     if not isinstance(psi.owner, GaussianRationals):
         raise WrongField("probability profiles are defined over Q(i) only")
-    return [entry.payload[0] ** 2 + entry.payload[1] ** 2 for entry in psi.entries]
+    return [Fraction(a * a + b * b, d * d) for a, b, d in (x.payload for x in psi.entries)]

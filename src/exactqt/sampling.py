@@ -11,7 +11,6 @@ a catalog of scaled Pythagorean triples over the Gaussian rationals.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .forms import Matrix, StateVector, conj_transpose, rank
 from .starfield import Element, FieldDescriptor, GaussianRationals, _preimage_table
@@ -25,9 +24,10 @@ _NORM_ONE: dict = {}
 
 def random_element(rng: random.Random, field: FieldDescriptor) -> Element:
     if isinstance(field, GaussianRationals):
-        re = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-        im = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-        return field.element((re, im))
+        # re = a/c and im = b/e, drawn in that order
+        a, c = rng.randint(-9, 9), rng.randint(1, 4)
+        b, e = rng.randint(-9, 9), rng.randint(1, 4)
+        return field.element((a * e, b * c, c * e))
     return field.element(tuple(rng.randrange(field.p) for _ in range(field.degree)))
 
 
@@ -64,7 +64,7 @@ def random_hermitian(rng: random.Random, field: FieldDescriptor, dim: int) -> Ma
 
 def random_fixed(rng: random.Random, field: FieldDescriptor) -> Element:
     if isinstance(field, GaussianRationals):
-        return field.element((Fraction(rng.randint(-9, 9)), Fraction(0)))
+        return field.element(rng.randint(-9, 9))
     pool = field.fixed_elements()
     return pool[rng.randrange(len(pool))]
 
@@ -86,13 +86,10 @@ def norm_one_elements(field: FieldDescriptor) -> list[Element]:
     if cached is not None:
         return cached
     if isinstance(field, GaussianRationals):
-        out = [field.element((Fraction(1), Fraction(0))),
-               field.element((Fraction(-1), Fraction(0))),
-               field.element((Fraction(0), Fraction(1))),
-               field.element((Fraction(0), Fraction(-1)))]
+        out = [field.element(unit) for unit in ((1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1))]
         for a, b, c in _TRIPLES:
             for re, im in ((a, b), (a, -b), (-a, b), (-a, -b), (b, a), (b, -a), (-b, a), (-b, -a)):
-                out.append(field.element((Fraction(re, c), Fraction(im, c))))
+                out.append(field.element((re, im, c)))
     else:
         out = _norm_table(field)[field.one().payload]
     _NORM_ONE[field] = out
@@ -111,8 +108,8 @@ def norm_split(rng: random.Random, field: FieldDescriptor) -> tuple[Element, Ele
         if rng.random() < 0.5:
             a_leg, b_leg = b_leg, a_leg
         units = norm_one_elements(field)[:4]
-        a = field.element((Fraction(a_leg, hyp), Fraction(0))) * units[rng.randrange(4)]
-        b = field.element((Fraction(b_leg, hyp), Fraction(0))) * units[rng.randrange(4)]
+        a = field.element((a_leg, 0, hyp)) * units[rng.randrange(4)]
+        b = field.element((b_leg, 0, hyp)) * units[rng.randrange(4)]
         return a, b
     tbl = _norm_table(field)
     while True:

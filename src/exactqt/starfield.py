@@ -31,6 +31,14 @@ never costs more than work already done, and short-lived fields never pay
 for it.  Payloads stay padded coefficient tuples on both routes, so
 element order, text and every output are the same whichever route runs.
 
+Q(i) elements are integer triples (a, b, d) meaning (a + bi)/d, reduced
+so that d > 0 and gcd(a, b, d) = 1: one gcd per result instead of one per
+rational part and operation, as fractions.Fraction pairs would cost.
+In every backend a value has exactly one payload, so equality and
+hashing compare payloads, and is_zero compares with the descriptor's
+zero_payload.  Element order is payload order on finite fields and (real
+part, imaginary part) as rationals on Q(i).
+
 All values are immutable and every operation is exact; nothing in this
 module (or the package) touches floating point.
 """
@@ -38,6 +46,7 @@ module (or the package) touches floating point.
 from __future__ import annotations
 
 import itertools
+import math
 import sys
 from fractions import Fraction
 from typing import Iterator
@@ -108,13 +117,13 @@ class Element:
         return Element(self.owner, self.owner.payload_involute(self.payload))
 
     def is_zero(self) -> bool:
-        return not any(self.payload)
+        return self.payload == self.owner.zero_payload
 
     def is_fixed(self) -> bool:
         return self.owner.payload_involute(self.payload) == self.payload
 
     def sort_key(self):
-        return self.payload
+        return self.owner.payload_sort_key(self.payload)
 
     def __eq__(self, other) -> bool:
         return (
@@ -139,6 +148,7 @@ class FieldDescriptor:
     kind: str = ""
     involution_order: int = 1
     is_finite: bool = True
+    zero_payload: tuple  # the one payload of zero, set by each subclass
 
     # Subclasses implement payload_* for their concrete representation.
 
@@ -170,6 +180,10 @@ class FieldDescriptor:
 
     def payload_canonical(self, raw):
         raise TypeError(f"cannot interpret {raw!r} as an element of {self.shorthand()}")
+
+    def payload_sort_key(self, a):
+        """The key of canonical element order; the payload itself by default."""
+        return a
 
     def shorthand(self) -> str:
         raise NotImplementedError
@@ -270,6 +284,7 @@ class FpQuotientField(FieldDescriptor):
         self.degree = len(modulus) - 1
         self.order = p**self.degree
         self._tables = _log_tables(p, modulus)
+        self.zero_payload = self._tables.zero
         self._fixed_cache: tuple[Element, ...] | None = None
 
     def _pad(self, c: tuple[int, ...]) -> tuple[int, ...]:
@@ -433,44 +448,99 @@ def _exponent_too_large(number: str) -> bool:
     return bool(e) and digits.isdecimal() and (len(digits) > len(str(cap)) or int(digits) > cap)
 
 
+def _reduced(a: int, b: int, d: int) -> tuple[int, int, int]:
+    """The canonical triple of (a + bi)/d for d > 0: gcd(a, b, d) divided out."""
+    if d == 1:
+        return (a, b, 1)
+    g = math.gcd(a, b, d)
+    return (a, b, d) if g == 1 else (a // g, b // g, d // g)
+
+
 class GaussianRationals(FieldDescriptor):
-    """Q(i) with complex conjugation; payloads are (Fraction, Fraction) pairs."""
+    """Q(i) with complex conjugation.
+
+    A payload is the canonical integer triple (a, b, d) of (a + bi)/d:
+    d > 0 and gcd(a, b, d) = 1, so zero is (0, 0, 1) and equal values have
+    equal payloads.  Sums bring the operands to a common denominator
+    (none is needed when d1 == d2), and every result divides out one
+    three-way gcd, skipped when its denominator is 1.  Fraction appears
+    only in text and in public rational values (sort_key, probability
+    profiles).
+    """
 
     kind = "gaussian"
     involution_order = 2
     is_finite = False
+    zero_payload = (0, 0, 1)
 
     def __init__(self):
         self.characteristic = 0
         self.order = None
 
     def payload_from_int(self, n: int):
-        return (Fraction(n), Fraction(0))
+        return (n, 0, 1)
 
     def payload_canonical(self, raw):
+        """An (a, b, d) int triple, a (re, im) pair of rationals, or a Fraction."""
+        if isinstance(raw, (tuple, list)) and len(raw) == 3:
+            if any(type(c) is not int for c in raw):
+                raise TypeError(f"a Q(i) triple needs int entries, got {raw!r}")
+            a, b, d = raw
+            if d == 0:
+                raise DivisionByZero(f"zero denominator in {raw!r}")
+            return _reduced(a, b, d) if d > 0 else _reduced(-a, -b, -d)
         if isinstance(raw, (tuple, list)) and len(raw) == 2:
-            return (Fraction(raw[0]), Fraction(raw[1]))
+            return self._from_fractions(Fraction(raw[0]), Fraction(raw[1]))
         if isinstance(raw, Fraction):
-            return (raw, Fraction(0))
+            return self._from_fractions(raw, Fraction(0))
         return super().payload_canonical(raw)
 
-    def payload_add(self, a, b):
-        return (a[0] + b[0], a[1] + b[1])
+    @staticmethod
+    def _from_fractions(re_part: Fraction, im_part: Fraction) -> tuple[int, int, int]:
+        # over d = lcm of the two reduced denominators, gcd(a, b, d) is already 1
+        d = math.lcm(re_part.denominator, im_part.denominator)
+        return (re_part.numerator * (d // re_part.denominator),
+                im_part.numerator * (d // im_part.denominator), d)
 
-    def payload_neg(self, a):
-        return (-a[0], -a[1])
+    def payload_add(self, x, y):
+        a1, b1, d1 = x
+        a2, b2, d2 = y
+        if d1 == d2:
+            return _reduced(a1 + a2, b1 + b2, d1)
+        return _reduced(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
 
-    def payload_mul(self, a, b):
-        return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+    def payload_sub(self, x, y):
+        a1, b1, d1 = x
+        a2, b2, d2 = y
+        if d1 == d2:
+            return _reduced(a1 - a2, b1 - b2, d1)
+        return _reduced(a1 * d2 - a2 * d1, b1 * d2 - b2 * d1, d1 * d2)
 
-    def payload_inv(self, a):
-        n = a[0] * a[0] + a[1] * a[1]
+    def payload_neg(self, x):
+        a, b, d = x
+        return (-a, -b, d)
+
+    def payload_mul(self, x, y):
+        a1, b1, d1 = x
+        a2, b2, d2 = y
+        return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2)
+
+    def payload_inv(self, x):
+        # d / (a + bi) = (da - dbi) / (a^2 + b^2)
+        a, b, d = x
+        n = a * a + b * b
         if n == 0:
             raise DivisionByZero("0 has no inverse in Q(i)")
-        return (a[0] / n, -a[1] / n)
+        return _reduced(d * a, -d * b, n)
 
-    def payload_involute(self, a):
-        return (a[0], -a[1])
+    def payload_involute(self, x):
+        a, b, d = x
+        return (a, -b, d)
+
+    def payload_sort_key(self, x):
+        """(re, im) as Fractions: the order of the real, then imaginary, parts."""
+        a, b, d = x
+        return (Fraction(a, d), Fraction(b, d))
 
     def payload_parse(self, s: str):
         text = s.replace(" ", "")
@@ -509,10 +579,11 @@ class GaussianRationals(FieldDescriptor):
                     re_part = Fraction(piece)
             except (ValueError, ZeroDivisionError):
                 raise ParseError(f"bad Gaussian rational {s!r}", 0) from None
-        return (re_part, im_part)
+        return self._from_fractions(re_part, im_part)
 
-    def payload_format(self, a) -> str:
-        re_part, im_part = a
+    def payload_format(self, x) -> str:
+        a, b, d = x
+        re_part, im_part = Fraction(a, d), Fraction(b, d)
         if im_part == 0:
             return str(re_part)
         if im_part == 1:
@@ -527,7 +598,7 @@ class GaussianRationals(FieldDescriptor):
         return f"{re_part}{sign}{im_text}"
 
     def imag_unit(self) -> Element:
-        return Element(self, (Fraction(0), Fraction(1)))
+        return Element(self, (0, 1, 1))
 
     def fixed_elements(self):
         raise FieldNotFinite("Q(i) has infinitely many fixed elements")
@@ -617,7 +688,8 @@ def fixed_field_coordinates(x: Element) -> tuple[Element, Element]:
     if f.involution_order == 1:
         raise ImproperField(f"{f.shorthand()} has the identity involution")
     if isinstance(f, GaussianRationals):
-        return f.element((x.payload[0], Fraction(0))), f.element((x.payload[1], Fraction(0)))
+        a, b, d = x.payload
+        return f.element((a, 0, d)), f.element((b, 0, d))
     kappa = f.generator()
     denom = kappa - kappa.conj()
     b = (x - x.conj()) / denom

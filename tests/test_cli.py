@@ -5,13 +5,14 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from exactqt.cli import entrypoint
 from exactqt.jsonio import dumps_canonical, matrix_from_json, vector_to_json
-from exactqt import QuadExt, StateVector
+from exactqt import QuadExt, StateVector, cli
 
 
 def run_cli(capsys, *argv):
@@ -217,6 +218,19 @@ def test_lefschetz_sample_range_grammar(capsys):
     assert first["summary"]["certified_true_fraction"] == "1"
     assert first["summary"]["conjecture"].startswith("true over every")
     assert all(v["certified"] for v in first["verdicts"].values())
+
+
+def test_lefschetz_sample_refuses_wide_range_before_any_primality_test(capsys, monkeypatch):
+    tested = []
+    monkeypatch.setattr(cli, "is_prime", lambda n: tested.append(n) or True)
+    start = time.monotonic()
+    code, doc = run_cli(capsys, "lefschetz", "sample",
+                        "--sentence", "E x . x*x + 1 = 0", "--primes", "2..1000000")
+    assert time.monotonic() - start < 0.5
+    assert code == 1
+    assert doc["error"]["type"] == "ValueError"
+    assert "spans 999999 integers" in doc["error"]["message"]
+    assert tested == []
 
 
 def test_lefschetz_sample_rejects_composite(capsys):

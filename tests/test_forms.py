@@ -225,14 +225,14 @@ def _divisor_roots(poly: Polynomial) -> list:
     a monic Z[i] polynomial x^k * q, every nonzero root divides q(0)."""
     poly = poly * Polynomial(QI, [poly.coeffs[-1].inverse()])
     n = poly.degree
-    d = math.lcm(*(fr.denominator for c in poly.coeffs for fr in c.payload))
-    scaled = [(int(c.payload[0] * d ** (n - k)), int(c.payload[1] * d ** (n - k)))
-              for k, c in enumerate(poly.coeffs)]
+    d = math.lcm(*(c.payload[2] for c in poly.coeffs))
+    scaled = [(a * d ** (n - k) // den, b * d ** (n - k) // den)
+              for k, (a, b, den) in enumerate(c.payload for c in poly.coeffs)]
     k0 = next(k for k, c in enumerate(scaled) if c != (0, 0))
     found = {QI.zero()} if k0 else set()
     if k0 < n:
         for a, b in _gaussint.gaussian_divisors(scaled[k0]):
-            lam = QI.element((Fraction(a, d), Fraction(b, d)))
+            lam = QI.element((a, b, d))
             if poly.evaluate(lam).is_zero():
                 found.add(lam)
     return sorted(found, key=lambda r: r.sort_key())
@@ -363,5 +363,5 @@ def test_state_vector_ops():
 def test_gaussian_form_uses_fractions():
     v = StateVector(QI, ["3/2+i", "1/3"])
     total = herm_form(v, v)
-    re, _ = (str(c) for c in v.owner.element(str(total)).payload)
-    assert Fraction(re) == Fraction(9, 4) + 1 + Fraction(1, 9)
+    a, _, d = v.owner.element(str(total)).payload
+    assert Fraction(a, d) == Fraction(9, 4) + 1 + Fraction(1, 9)

@@ -1,5 +1,6 @@
 """Field-with-involution layer: arithmetic, conjugation, parsing, order."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -93,6 +94,56 @@ def test_involution_is_ring_automorphism_gaussian(a, b, c, d):
     assert involute(involute(x)) == x
     assert involute(x * y) == involute(x) * involute(y)
     assert involute(x + y) == involute(x) + involute(y)
+
+
+def _reference(x):
+    """The (re, im) Fraction pair of a Q(i) element, checking that its
+    payload is the canonical triple: ints, d > 0, gcd(a, b, d) = 1."""
+    a, b, d = x.payload
+    assert type(a) is int and type(b) is int and type(d) is int
+    assert d > 0 and math.gcd(a, b, d) == 1
+    return (Fraction(a, d), Fraction(b, d))
+
+
+_TRIPLES = st.one_of(
+    st.tuples(st.just(0), st.just(0), st.integers(-5, 5).filter(bool)),
+    st.tuples(st.integers(-60, 60), st.integers(-60, 60), st.integers(-12, 12).filter(bool)),
+    st.tuples(st.integers(-10**30, 10**30), st.integers(-9, 9), st.integers(1, 10**20)))
+
+
+@settings(max_examples=400, derandomize=True)
+@given(_TRIPLES, _TRIPLES, st.sampled_from((True, False, 1.0, Fraction(1, 2), "1", None)),
+       st.integers(0, 2))
+@example((0, 0, 7), (3, -4, -6), True, 2)
+def test_gaussian_triples_match_fraction_pairs(u, v, bad, slot):
+    x, y = QI.element(u), QI.element(v)
+    (r1, i1), (r2, i2) = _reference(x), _reference(y)
+    assert (r1, i1) == (Fraction(u[0], u[2]), Fraction(u[1], u[2]))
+    assert _reference(x + y) == (r1 + r2, i1 + i2)
+    assert _reference(x - y) == (r1 - r2, i1 - i2)
+    assert _reference(x * y) == (r1 * r2 - i1 * i2, r1 * i2 + i1 * r2)
+    assert _reference(-x) == (-r1, -i1)
+    assert _reference(x.conj()) == (r1, -i1)
+    assert x.is_zero() == (r1 == i1 == 0)
+    if x.is_zero():
+        assert x.payload == (0, 0, 1)
+        with pytest.raises(DivisionByZero):
+            x.inverse()
+    else:
+        n = r1 * r1 + i1 * i1
+        assert _reference(x.inverse()) == (r1 / n, -i1 / n)
+    assert QI.element(str(x)).payload == x.payload
+    assert str(QI.element(str(x))) == str(x)
+    assert (x.sort_key() < y.sort_key()) == ((r1, i1) < (r2, i2))
+    assert (x.sort_key() == y.sort_key()) == ((r1, i1) == (r2, i2)) == (x == y)
+    same = QI.element((r1, i1))
+    assert same.payload == x.payload and hash(same) == hash(x)
+    assert (x + y - y).payload == x.payload and hash(x + y - y) == hash(x)
+    assert QI.element(x.payload) == x
+    broken = list(u)
+    broken[slot] = bad
+    with pytest.raises(TypeError):
+        QI.element(tuple(broken))
 
 
 @pytest.mark.parametrize("q,field", [
