@@ -1,0 +1,156 @@
+"""Roots of a polynomial over a finite field F_Q, computed on payloads.
+
+The roots of f in F_Q are those of g = gcd(f, x^Q - x), the product of
+f's distinct linear factors over F_Q.  Equal-degree splitting (Berlekamp
+1970; Cantor and Zassenhaus 1981) then pulls g apart into those factors:
+for odd p, h splits as gcd(h, (x + a)^((Q-1)/2) - 1), which collects the
+roots r with r + a a nonzero square; in characteristic 2 (Q = 2^k), as
+gcd(h, Tr(a x)) with the trace Tr(y) = y + y^2 + ... + y^(2^(k-1)) mod h,
+which collects the roots r with Tr(a r) = 0.  Any two distinct roots are
+separated by some shift a in F_Q (the nonzero squares are no union of
+cosets of an additive subgroup; Tr is a nonzero linear form), so the
+shifts are taken in payload order and no random choice is needed.
+
+A polynomial here is a list of payloads, low degree first, with no
+trailing zero.  Every product, sum and inverse goes through the field's
+payload_* methods, so the log tables serve this code wherever they are
+built, and no Element is made inside the loops.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+from .starfield import FpQuotientField
+
+
+class _Ring:
+    """F[x] on payload lists, for one finite field F."""
+
+    def __init__(self, field: FpQuotientField):
+        self.mul = field.payload_mul
+        self.add = field.payload_add
+        self.sub = field.payload_sub
+        self.neg = field.payload_neg
+        self.inv = field.payload_inv
+        self.zero = field.zero_payload
+        self.one = field.payload_from_int(1)
+
+    def trim(self, a: list) -> list:
+        zero = self.zero
+        while a and a[-1] == zero:
+            a.pop()
+        return a
+
+    def monic(self, a: list) -> list:
+        mul, lead_inv = self.mul, self.inv(a[-1])
+        return [mul(c, lead_inv) for c in a]
+
+    def combine(self, op, a: list, b: list) -> list:
+        """a op b coefficientwise, for op = self.add or self.sub."""
+        out = list(a) + [self.zero] * (len(b) - len(a))
+        for i, c in enumerate(b):
+            out[i] = op(out[i], c)
+        return self.trim(out)
+
+    def divmod(self, a: list, m: list) -> tuple[list, list]:
+        """Quotient and remainder of a by the monic m."""
+        mul, add, neg, zero = self.mul, self.add, self.neg, self.zero
+        n = len(m) - 1
+        rem = list(a)
+        quot = [zero] * max(len(a) - n, 0)
+        for i in range(len(quot) - 1, -1, -1):
+            c = quot[i] = rem[i + n]
+            if c != zero:
+                c = neg(c)
+                for j in range(n):
+                    rem[i + j] = add(rem[i + j], mul(c, m[j]))
+        del rem[n:]
+        return quot, self.trim(rem)
+
+    def sqrmod(self, a: list, m: list) -> list:
+        """a^2 mod m, each cross product taken once and doubled (in
+        characteristic 2 the doubled ones vanish)."""
+        mul, add, zero = self.mul, self.add, self.zero
+        out = [zero] * (2 * len(a) - 1)
+        for i, x in enumerate(a):
+            if x != zero:
+                out[2 * i] = add(out[2 * i], mul(x, x))
+                x2 = add(x, x)
+                if x2 != zero:
+                    for j in range(i + 1, len(a)):
+                        out[i + j] = add(out[i + j], mul(x2, a[j]))
+        return self.divmod(out, m)[1]
+
+    def linear_power(self, a, e: int, m: list) -> list:
+        """(x + a)^e mod m, by squaring and multiplying by x + a."""
+        mul, add, zero = self.mul, self.add, self.zero
+        result = [self.one]
+        for bit in bin(e)[2:]:
+            result = self.sqrmod(result, m)
+            if bit == "1":
+                shifted = [zero] + result
+                if a != zero:
+                    for i, c in enumerate(result):
+                        shifted[i] = add(shifted[i], mul(a, c))
+                result = self.divmod(shifted, m)[1]
+        return result
+
+    def gcd(self, a: list, b: list) -> list:
+        """gcd of the monic a and any b, monic."""
+        while b:
+            b = self.monic(b)
+            a, b = b, self.divmod(a, b)[1]
+        return a
+
+
+def field_roots(field: FpQuotientField, coeffs) -> list:
+    """The payloads of the distinct roots in field of a nonzero polynomial.
+
+    coeffs are payloads, low degree first, with a nonzero last one.  The roots come back in payload order,
+    which is element order.
+    """
+    ring = _Ring(field)
+    zero, one = ring.zero, ring.one
+    f = ring.monic(list(coeffs))
+    found = []
+    if f[0] == zero:
+        found.append(zero)
+        while f[0] == zero:
+            del f[0]
+    if len(f) < 2:
+        return found
+    p, q, k = field.characteristic, field.order, field.degree
+    if p == 2:
+        x = xq = [zero, one]
+        for _ in range(k):
+            xq = ring.sqrmod(xq, f)
+        todo = [ring.gcd(f, ring.combine(ring.add, xq, x))]
+    else:
+        # f(0) != 0, so x^Q - x and x^(Q-1) - 1 = s^2 - 1 share their gcd
+        # with f; and gcd(g, s - 1) is the split by the shift a = 0.
+        s = ring.linear_power(zero, (q - 1) // 2, f)
+        g = ring.gcd(f, ring.combine(ring.sub, ring.sqrmod(s, f), [one]))
+        d = ring.gcd(g, ring.combine(ring.sub, s, [one]))
+        todo = [d, ring.divmod(g, d)[0]]
+    shifts = itertools.product(range(p), repeat=k)
+    next(shifts)  # a = 0: no split in characteristic 2, already made for odd p
+    while True:
+        found += [ring.neg(h[0]) for h in todo if len(h) == 2]
+        todo = [h for h in todo if len(h) > 2]
+        if not todo:
+            return sorted(found)
+        a = next(shifts)
+        split = []
+        for h in todo:
+            if p == 2:
+                y = trace = [zero, a]
+                for _ in range(k - 1):
+                    y = ring.sqrmod(y, h)
+                    trace = ring.combine(ring.add, trace, y)
+                d = ring.gcd(h, trace)
+            else:
+                w = ring.linear_power(a, (q - 1) // 2, h)
+                d = ring.gcd(h, ring.combine(ring.sub, w, [one]))
+            split += [d, ring.divmod(h, d)[0]] if 1 < len(d) < len(h) else [h]
+        todo = split

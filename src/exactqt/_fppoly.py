@@ -149,10 +149,13 @@ def canonical_irreducible(p: int, n: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree n over F_p.
 
     Coefficient tuples (c0, ..., c_{n-1}) are compared low degree first.
+    For n >= 2 the candidates with c0 = 0, all of them divisible by t and
+    all first in that order, are skipped before any Rabin test; t itself
+    is the answer for n = 1.
     """
-    for tail in itertools.product(range(p), repeat=n):
-        f = trim(tail + (1,))
-        if is_irreducible(f, p):
+    first = range(1, p) if n > 1 else range(p)
+    for tail in itertools.product(first, *[range(p)] * (n - 1)):
+        if is_irreducible(tail + (1,), p):
             return tail + (1,)
     raise ArithmeticError("no irreducible polynomial found")  # unreachable
 

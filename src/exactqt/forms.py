@@ -6,21 +6,22 @@ The standard sesquilinear form conjugates the first argument:
 
 char_poly runs a fraction-free Bareiss elimination over the polynomial
 ring, which stays exact in every characteristic; eigenvalues come from
-Polynomial.roots, an exhaustive root scan over finite fields and, over Q(i),
-Newton lifting of the squarefree part's roots from an inert prime p = 3
-(mod 4) (so the owner-field spectrum is always complete, even when the
-closure spectrum is not).  Over Q(i) that lifting reads the coefficients'
-integer triples (a, b, d) directly (see starfield); the candidates share
-one denominator, so they are sorted as Gaussian integers before any
-element is built.
+Polynomial.roots: over finite fields, gcd(f, x^Q - x) split by equal
+degree (_ffroots), and over Q(i), Newton lifting of the squarefree part's
+roots from an inert prime p = 3 (mod 4) (so the owner-field spectrum is
+always complete, even when the closure spectrum is not).  Over Q(i) that
+lifting reads the coefficients' integer triples (a, b, d) directly (see
+starfield); the candidates share one denominator, so they are sorted as
+Gaussian integers before any element is built.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
+from ._ffroots import field_roots
 from ._gaussint import gaussian_root_candidates
 from .errors import DimensionMismatch, FieldMismatch, Inconsistent, NonSquare
 from .starfield import Element, FieldDescriptor, GaussianRationals
@@ -270,20 +271,19 @@ class Polynomial:
     def roots(self) -> list[Element]:
         """Every root in the owner field, in element order.
 
-        Finite fields are scanned exhaustively.  Over Q(i) the roots of the
-        squarefree part are lifted p-adically from an inert prime p = 3
-        (mod 4), where no two of them collide, so the list is complete there
-        too.  The zero polynomial is not accepted.
+        Over a finite field F_Q the roots are those of gcd(f, x^Q - x),
+        which equal-degree splitting pulls apart into linear factors
+        (_ffroots), so the cost grows with log Q and not with Q.  Over Q(i)
+        the roots of the squarefree part are lifted p-adically from an inert
+        prime p = 3 (mod 4), where no two of them collide, so the list is
+        complete there too.  The zero polynomial is not accepted.
         """
-        return list(self._iter_roots())
-
-    def _iter_roots(self) -> Iterator[Element]:
-        """roots() lazily, so a caller that wants the first root stops there."""
         if self.is_zero():
             raise ValueError("every element is a root of the zero polynomial")
-        if self.owner.is_finite:
-            return (x for x in self.owner.elements() if self.evaluate(x).is_zero())
-        return iter(_gaussian_rational_roots(self if self.is_monic() else self._monic()))
+        f = self.owner
+        if f.is_finite:
+            return [Element(f, r) for r in field_roots(f, [c.payload for c in self.coeffs])]
+        return _gaussian_rational_roots(self if self.is_monic() else self._monic())
 
     def _derivative(self) -> Polynomial:
         return Polynomial(self.owner, [self.owner.element(k) * c

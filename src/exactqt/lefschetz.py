@@ -794,7 +794,8 @@ def _smallest_common_root(f1: list[Element], g1: list[Element], field) -> Elemen
     if h.degree == 2:
         roots = _quadratic_roots(h.coeffs[2], h.coeffs[1], h.coeffs[0])
         return roots[0] if roots else None
-    return next(h._iter_roots(), None)
+    roots = h.roots()
+    return roots[0] if roots else None
 
 
 def _specialize_x1(mono: dict, field, degree: int, y: Element) -> list[Element]:

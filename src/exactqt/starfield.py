@@ -155,7 +155,7 @@ class FieldDescriptor:
     def element(self, value) -> Element:
         """Coerce an int, textual string, payload, or Element into this field."""
         if isinstance(value, Element):
-            if value.owner != self:
+            if value.owner is not self and value.owner != self:
                 raise FieldMismatch(f"element of {value.owner.shorthand()} given to {self.shorthand()}")
             return value
         if isinstance(value, bool):

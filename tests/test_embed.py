@@ -1,6 +1,7 @@
 """Involution-compatible tower embeddings and observable transport."""
 
 import random
+import time
 
 import pytest
 
@@ -49,6 +50,17 @@ def test_f9_into_f729_certificate():
     assert cert.involution_compatible
     assert emb.form_compatible
     assert emb.extension_degree == 3
+
+
+def test_f9_into_degree_5_certifies_within_ceiling():
+    # the canonical degree-10 modulus over F_3 once took 19,690 Rabin tests
+    start = time.monotonic()
+    emb = build_embedding(F9, 5)
+    assert time.monotonic() - start <= 5.0
+    assert emb.big == QuadExt(3, 5)
+    cert = emb.certificate
+    assert (cert.elements_checked, cert.addition_pairs, cert.multiplication_pairs) == (9, 81, 81)
+    assert cert.injective and cert.involution_compatible
 
 
 def test_homomorphism_exhaustive():

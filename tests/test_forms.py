@@ -1,5 +1,6 @@
 """Hermitian forms, exact linear algebra, and the eigen kernel."""
 
+import functools
 import itertools
 import math
 import random
@@ -7,7 +8,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from exactqt import (
     GaussianRationals,
@@ -28,7 +29,7 @@ from exactqt import (
     rank,
     solve,
 )
-from exactqt import _gaussint
+from exactqt import _gaussint, starfield
 from exactqt._tower import tower_field
 from exactqt.errors import DimensionMismatch, FieldMismatch, Inconsistent, NonSquare
 from exactqt.sampling import (
@@ -219,6 +220,149 @@ def test_polynomial_roots_match_brute_scan():
     half = Polynomial(QI, ["1/2"]) * planted
     assert half.roots() == planted.roots()
 
+
+ROOT_FIELDS = [PrimeField(2), PrimeField(3), PrimeField(101), QuadExt(2, 1), QuadExt(2, 4),
+               QuadExt(3, 2), QuadExt(5, 2), QuadExt(13, 1), tower_field(2, 5)]
+
+
+def _rootless_quadratic(field, shift) -> Polynomial:
+    """q(x + shift), where q is x^2 - c with c a non-square or, in
+    characteristic 2, x^2 + x + c with c of trace 1: no root in field."""
+    one, zero = field.one(), field.zero()
+    if field.characteristic == 2:
+        c = next(c for c in field.elements()
+                 if sum((c ** 2 ** i for i in range(field.degree)), zero) == one)
+        c1 = one
+    else:
+        c = -next(c for c in field.elements() if c ** ((field.order - 1) // 2) == -one)
+        c1 = zero
+    return Polynomial(field, [shift * shift + c1 * shift + c, shift + shift + c1, one])
+
+
+@st.composite
+def _root_problems(draw, field):
+    """(poly, planted roots, whether every root of poly is planted) over field."""
+    elements = st.lists(st.integers(0, field.p - 1), min_size=field.degree,
+                        max_size=field.degree).map(lambda c: field.element(tuple(c)))
+    shape = draw(st.sampled_from(("split", "quadratics", "mixed")))
+    degree = draw(st.integers(1, 8))
+    if shape == "quadratics":  # rootless quadratic factors, and one linear one at odd degree
+        n_linear = degree % 2 if degree > 1 else 0
+        degree = max(degree, 2)
+    else:
+        n_linear = degree if shape == "split" else draw(st.integers(0, degree))
+    pool = draw(st.lists(elements, min_size=1, max_size=3)) + [field.zero()]
+    planted = draw(st.lists(st.sampled_from(pool), min_size=n_linear, max_size=n_linear))
+    lead = draw(elements.filter(lambda c: not c.is_zero()))
+    poly = Polynomial(field, [lead])
+    x = Polynomial(field, [0, 1])
+    for r in planted:
+        poly = poly * (x - Polynomial(field, [r]))
+    rest = degree - n_linear
+    if shape == "quadratics":
+        for _ in range(rest // 2):
+            poly = poly * _rootless_quadratic(field, draw(elements))
+    elif rest:
+        poly = poly * Polynomial(field, draw(st.lists(elements, min_size=rest, max_size=rest))
+                                 + [field.one()])
+    return poly, planted, shape != "mixed"
+
+
+def _check_roots(poly, planted, closed, scan):
+    found = poly.roots()
+    assert found == scan(poly)
+    assert set(planted) <= set(found)
+    if closed:
+        assert found == sorted(set(planted), key=lambda r: r.sort_key())
+
+
+@pytest.mark.parametrize("field", ROOT_FIELDS, ids=str)
+@settings(max_examples=20)
+@given(data=st.data())
+def test_finite_field_roots_match_exhaustive_scan(field, data):
+    _check_roots(*data.draw(_root_problems(field)),
+                 lambda poly: [x for x in field.elements() if poly.evaluate(x).is_zero()])
+
+
+def _scan_f65537(poly) -> list:
+    """Every root by Horner's rule on plain integers mod 65537."""
+    p = poly.owner.p
+    coeffs = [c.payload[0] for c in reversed(poly.coeffs)]
+    roots = []
+    for x in range(p):
+        acc = 0
+        for c in coeffs:
+            acc = (acc * x + c) % p
+        if acc == 0:
+            roots.append(poly.owner.element(x))
+    return roots
+
+
+@functools.cache
+def _bit_log_tables(field) -> tuple[list, list]:
+    """Antilog list (twice over) and log list of a characteristic-2 field on
+    bit-packed elements, against t + 1, which the walk shows to be primitive."""
+    n = field.degree
+    modulus = sum(c << i for i, c in enumerate(field.modulus))
+    exp, x = [], 1
+    for _ in range(2**n - 1):
+        exp.append(x)
+        x = x ^ (x << 1) ^ (modulus if x >> (n - 1) else 0)
+    assert x == 1 and len(set(exp)) == 2**n - 1
+    log = [0] * 2**n
+    for k, a in enumerate(exp):
+        log[a] = k
+    return exp + exp, log
+
+
+def _scan_f2_18(poly) -> list:
+    """Every root in F_{2^18} by Horner's rule on bit-packed elements, at
+    all nonzero x = exp[j] at once."""
+    field = poly.owner
+    n = field.degree
+    exp, log = _bit_log_tables(field)
+    coeffs = [sum(c << i for i, c in enumerate(a.payload)) for a in reversed(poly.coeffs)]
+    values = [coeffs[0]] * (2**n - 1)
+    for c in coeffs[1:]:
+        values = [exp[log[v] + j] ^ c if v else c for j, v in enumerate(values)]
+    roots = [field.zero()] if coeffs[-1] == 0 else []
+    roots += [field.element(tuple(exp[j] >> i & 1 for i in range(n)))
+              for j, v in enumerate(values) if v == 0]
+    return sorted(roots, key=lambda r: r.sort_key())
+
+
+@pytest.mark.parametrize("field, scan", [(PrimeField(65537), _scan_f65537),
+                                         (QuadExt(2, 9), _scan_f2_18)], ids=["65537", "2:9"])
+@settings(max_examples=4, phases=[Phase.explicit, Phase.generate])  # a scan per shrink step
+@given(data=st.data())
+def test_roots_above_the_table_cap_match_exhaustive_scan(field, scan, data):
+    assert field.order > starfield._TABLE_CAP
+    _check_roots(*data.draw(_root_problems(field)), scan)
+
+
+def test_zero_polynomial_has_no_root_list():
+    for field in (F9, PrimeField(65537), QI):
+        with pytest.raises(ValueError):
+            Polynomial(field, [0, 0]).roots()
+
+
+def test_planted_spectrum_over_f_1009_squared():
+    field = QuadExt(1009, 1)
+    rng = random.Random(1009)
+    lower = Matrix(field, [[1 if i == j else (field.element((rng.randrange(1009), rng.randrange(1009)))
+                                              if i > j else 0) for j in range(4)] for i in range(4)])
+    inverse = Matrix.from_columns(field, [solve(lower, StateVector.basis_vector(field, 4, k))
+                                          for k in range(4)])
+    spectrum = [field.element(v) for v in ("5", "3+7t", "1000t", "3+7t")]
+    m = lower @ Matrix.diagonal(field, spectrum) @ inverse
+    start = time.monotonic()
+    dec = eigen_decompose(m)
+    assert time.monotonic() - start <= 2.0
+    assert [(str(p.value), p.dimension) for p in dec.pairs] == [("1000t", 1), ("3+7t", 2), ("5", 1)]
+    assert dec.complete
+    for p in dec.pairs:
+        for v in p.basis:
+            assert m @ v == v.scale(p.value)
 
 def _divisor_roots(poly: Polynomial) -> list:
     """The Q(i) roots of poly by exhaustive search: after scaling mu = D*x to

@@ -1,5 +1,6 @@
 """Field-with-involution layer: arithmetic, conjugation, parsing, order."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -8,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from exactqt import (
     Element,
-    Matrix,
     FieldMismatch,
     GaussianRationals,
     PrimeField,
@@ -16,7 +16,6 @@ from exactqt import (
     fixed_field_coordinates,
     involute,
     is_fixed,
-    eigen_decompose,
     make_field,
     no_cloning_witness,
     norm_one_elements,
@@ -50,6 +49,18 @@ def test_canonical_moduli():
     assert F16.modulus == (1, 0, 0, 1, 1)
     assert F25.modulus == (1, 1, 1)
     assert QuadExt(7, 1).modulus == (1, 0, 1)
+
+
+def _first_irreducible_unscreened(p: int, n: int) -> tuple[int, ...]:
+    """The modulus search without the c0 = 0 screen: a Rabin test on every tail."""
+    return next(tail + (1,) for tail in itertools.product(range(p), repeat=n)
+                if _fppoly.is_irreducible(tail + (1,), p))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_screened_modulus_search_finds_the_same_modulus(p):
+    for n in range(1, 7):
+        assert _fppoly.canonical_irreducible(p, n) == _first_irreducible_unscreened(p, n)
 
 
 def test_bad_constructions():
@@ -436,10 +447,10 @@ def test_short_lived_fields_build_no_table(fresh_tables):
 def test_equal_descriptors_share_one_table(fresh_tables):
     first, second = QuadExt(3, 3), QuadExt(3, 3)
     assert first is not second and first._tables is second._tables
-    a, b = first.element("t"), first.element("1+t^4")
-    h = Matrix(first, [[1, a], [a.conj(), b + b.conj()]])
+    a = first.element("1+t^4")
     assert first._tables.log is None
-    eigen_decompose(h)
+    for _ in range(first.order):
+        a * a
     assert second._tables.log is not None
     x = second.element("2+t^5")
     assert (x * x.inverse()).payload == second.one().payload
