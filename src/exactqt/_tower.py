@@ -7,8 +7,9 @@ provide.  Their arithmetic is starfield's FpQuotientField, shared with the
 prime and quadratic fields.  Fields are cached and fully deterministic:
 moduli are the canonical lexicographically smallest irreducibles.  An
 inclusion sends the generator to the first root of the small modulus in the
-bigger field's element order; _generator_image is the one cached search for
-that root, used here by lift and by embed for the quadratic fields.
+bigger field's element order; _generator_image finds that root with
+Polynomial.roots, which enumerates no field, and caches it for lift here and
+for embed's quadratic fields.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import functools
 
 from . import _fppoly
 from .errors import NoRootFound
+from .forms import Polynomial
 from .starfield import Element, FpQuotientField, _require_prime
 
 
@@ -53,11 +55,11 @@ def _eval_at(coeffs: tuple[int, ...], x: Element) -> Element:
 
 @functools.lru_cache(maxsize=None)
 def _generator_image(modulus: tuple[int, ...], big: FpQuotientField) -> Element:
-    """First root of an integer modulus among big's elements, in canonical order."""
-    for cand in big.elements():
-        if _eval_at(modulus, cand).is_zero():
-            return cand
-    raise NoRootFound("small modulus has no root in the extension field")
+    """First root in element order of an integer modulus in big, by Polynomial.roots."""
+    roots = Polynomial(big, modulus).roots()
+    if not roots:
+        raise NoRootFound("small modulus has no root in the extension field")
+    return roots[0]
 
 
 def lift(x: Element, m: int) -> Element:

@@ -98,7 +98,8 @@ def _build_inclusion(small: QuadExt, m: int) -> FieldEmbedding:
     """Inclusion into the degree-m extension with no involution demand.
 
     The generator is sent to the first root of the small modulus in the big
-    field's canonical element order (_tower's cached search), except m = 1
+    field's canonical element order (_tower._generator_image, which finds it
+    with Polynomial.roots and caches it), except m = 1
     where the identity map is the only sensible answer (the smallest root
     can be a conjugate of t, which would silently twist the field by
     Frobenius).

@@ -35,7 +35,7 @@ from ._tower import lift, tower_field
 from .errors import NotHomogeneous, ParseError
 from .forms import Polynomial
 from .jsonio import _Record
-from .starfield import Element, FieldDescriptor, PrimeField, _preimage_table
+from .starfield import Element, FieldDescriptor, PrimeField
 
 
 @dataclass(frozen=True)
@@ -754,32 +754,9 @@ def parse_ternary_polynomial(text: str, field: FieldDescriptor) -> TernaryForm:
     return TernaryForm(field, monomials)
 
 
+# Always empty: perfbench/spans.py still reads both names (ROADMAP item 5).
 _SQRT_TABLES: dict = {}
 _AS_TABLES: dict = {}
-
-
-def _quadratic_roots(a: Element, b: Element, c: Element) -> list[Element]:
-    """All roots of a z^2 + b z + c (a nonzero), in canonical order."""
-    field = a.owner
-    if field.characteristic == 2:
-        if b.is_zero():
-            # squaring is a bijection, so z^2 = u has the single root u^(q/2)
-            return [(c / a) ** (field.order // 2)]
-        shift = _preimage_table(_AS_TABLES, field, lambda w: w * w + w).get(
-            ((a * c) / (b * b)).payload, [None])[0]
-        if shift is None:
-            return []
-        scale = b / a
-        roots = [scale * shift, scale * (shift + field.one())]
-    else:
-        four = field.element(4)
-        disc = b * b - four * a * c
-        s = _preimage_table(_SQRT_TABLES, field, lambda x: x * x).get(disc.payload, [None])[0]
-        if s is None:
-            return []
-        half = (field.element(2) * a).inverse()
-        roots = [(-b + s) * half] if s.is_zero() else [(-b + s) * half, (-b - s) * half]
-    return sorted(set(roots), key=lambda r: r.sort_key())
 
 
 def _smallest_common_root(f1: list[Element], g1: list[Element], field) -> Element | None:
@@ -789,11 +766,6 @@ def _smallest_common_root(f1: list[Element], g1: list[Element], field) -> Elemen
     h = f.gcd(g)
     if h.degree < 1:
         return None
-    if h.degree == 1:
-        return -h.coeffs[0]  # monic linear: z + h0
-    if h.degree == 2:
-        roots = _quadratic_roots(h.coeffs[2], h.coeffs[1], h.coeffs[0])
-        return roots[0] if roots else None
     roots = h.roots()
     return roots[0] if roots else None
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 
 from .forms import Matrix, StateVector, conj_transpose, rank
-from .starfield import Element, FieldDescriptor, GaussianRationals, _preimage_table
+from .starfield import Element, FieldDescriptor, GaussianRationals
 
 # (a, b, c) with a^2 + b^2 = c^2: the source of Q(i) elements of norm a^2/c^2
 _TRIPLES = ((3, 4, 5), (5, 12, 13), (8, 15, 17), (20, 21, 29))
@@ -98,7 +98,13 @@ def norm_one_elements(field: FieldDescriptor) -> list[Element]:
 
 def _norm_table(field: FieldDescriptor) -> dict:
     """fixed payload s -> all x with x^gamma x = s, in canonical order."""
-    return _preimage_table(_NORM_TABLES, field, lambda x: x.conj() * x)
+    tbl = _NORM_TABLES.get(field)
+    if tbl is None:
+        tbl = {}
+        for x in field.elements():
+            tbl.setdefault((x.conj() * x).payload, []).append(x)
+        _NORM_TABLES[field] = tbl
+    return tbl
 
 
 def norm_split(rng: random.Random, field: FieldDescriptor) -> tuple[Element, Element]:

@@ -294,7 +294,7 @@ class FpQuotientField(FieldDescriptor):
         return self._pad((n % self.p,) if n % self.p else ())
 
     def payload_canonical(self, raw) -> tuple[int, ...]:
-        if isinstance(raw, (tuple, list)) and all(isinstance(c, int) for c in raw):
+        if isinstance(raw, (tuple, list)) and all(type(c) is int for c in raw):
             reduced = _fppoly.mod(_fppoly.trim(tuple(c % self.p for c in raw)), self.modulus, self.p)
             return self._pad(reduced)
         return super().payload_canonical(raw)
@@ -481,7 +481,7 @@ class GaussianRationals(FieldDescriptor):
         return (n, 0, 1)
 
     def payload_canonical(self, raw):
-        """An (a, b, d) int triple, a (re, im) pair of rationals, or a Fraction."""
+        """An (a, b, d) int triple, an (re, im) pair of ints or Fractions, or a Fraction."""
         if isinstance(raw, (tuple, list)) and len(raw) == 3:
             if any(type(c) is not int for c in raw):
                 raise TypeError(f"a Q(i) triple needs int entries, got {raw!r}")
@@ -490,6 +490,8 @@ class GaussianRationals(FieldDescriptor):
                 raise DivisionByZero(f"zero denominator in {raw!r}")
             return _reduced(a, b, d) if d > 0 else _reduced(-a, -b, -d)
         if isinstance(raw, (tuple, list)) and len(raw) == 2:
+            if any(type(c) is not int and not isinstance(c, Fraction) for c in raw):
+                raise TypeError(f"a Q(i) (re, im) pair needs int or Fraction entries, got {raw!r}")
             return self._from_fractions(Fraction(raw[0]), Fraction(raw[1]))
         if isinstance(raw, Fraction):
             return self._from_fractions(raw, Fraction(0))
@@ -695,14 +697,3 @@ def fixed_field_coordinates(x: Element) -> tuple[Element, Element]:
     b = (x - x.conj()) / denom
     a = x - kappa * b
     return a, b
-
-
-def _preimage_table(cache: dict, field: FieldDescriptor, fn) -> dict:
-    """payload of fn(x) -> every such x in element order, built once per field."""
-    tbl = cache.get(field)
-    if tbl is None:
-        tbl = {}
-        for x in field.elements():
-            tbl.setdefault(fn(x).payload, []).append(x)
-        cache[field] = tbl
-    return tbl

@@ -5,6 +5,13 @@ exact stdout the CLI printed: one call or more of every subcommand, plus
 three malformed-document cases that exit 1 with a ValueError.  The calls
 run in-process through `entrypoint`, so a refactor that changes one output
 byte, one exit code or the order of any listed element fails here.
+
+A case is recorded before the source it covers is edited: run
+`entrypoint(argv)` in-process on the unchanged tree with stdout captured
+(contextlib.redirect_stdout), append {"argv": argv, "exit": code,
+"stdout": captured} to the list, and write the file back as
+json.dumps(cases, indent=1) followed by a newline, so the old cases keep
+their bytes.
 """
 
 import json

@@ -16,9 +16,10 @@ from exactqt import (
     herm_form,
     involute,
 )
-from exactqt._tower import lift, tower_field
-from exactqt.errors import EvenExtensionDegree, WrongField
+from exactqt._tower import TowerField, _eval_at, _generator_image, lift, tower_field
+from exactqt.errors import EvenExtensionDegree, NoRootFound, WrongField
 from exactqt.sampling import random_state
+from exactqt.starfield import FpQuotientField
 
 F4 = QuadExt(2, 1)
 F9 = QuadExt(3, 1)
@@ -85,6 +86,45 @@ def test_generator_image_is_lex_smallest_root():
     earlier = [x for x in big.elements()
                if x.sort_key() < img.sort_key() and (x * x + big.one()).is_zero()]
     assert earlier == []
+
+
+def _generator_image_by_scan(modulus, big):
+    """The first element of big, in element order, at which modulus vanishes."""
+    for cand in big.elements():
+        if _eval_at(modulus, cand).is_zero():
+            return cand
+    return None
+
+
+# (small, big): every pair that the tower-closure benchmark's embeddings and
+# lifts ask for, then F_9 -> F_{3^10}, F_4 -> F_{2^18} (a field above the
+# log-table cap) and a pair with no root
+_IMAGE_PAIRS = [
+    ((3, 1), ("tower", 3, 2)), ((5, 1), ("tower", 5, 2)), ((3, 2), ("tower", 3, 4)),
+    ((5, 2), ("tower", 5, 4)), ((2, 2), ("tower", 2, 4)),
+    ((2, 2), ("quad", 2, 3)), ((2, 2), ("quad", 2, 5)), ((3, 2), ("quad", 3, 3)),
+    ((3, 2), ("quad", 3, 5)), ((2, 2), ("quad", 2, 9)),
+    ((2, 2), ("tower", 2, 3)),
+]
+
+
+@pytest.mark.parametrize("small,big", _IMAGE_PAIRS, ids=str)
+def test_generator_image_enumerates_no_field(monkeypatch, small, big):
+    modulus = tower_field(*small).modulus
+    kind, p, n = big
+    big = tower_field(p, n) if kind == "tower" else QuadExt(p, n)
+    want = _generator_image_by_scan(modulus, big)
+
+    def refuse(self):
+        raise AssertionError(f"{self.shorthand()} enumerated")
+
+    for cls in (FpQuotientField, QuadExt, TowerField):
+        monkeypatch.setattr(cls, "elements", refuse)
+    if want is None:
+        with pytest.raises(NoRootFound):
+            _generator_image.__wrapped__(modulus, big)
+    else:
+        assert _generator_image.__wrapped__(modulus, big) == want
 
 
 @pytest.mark.parametrize("p", [2, 3])

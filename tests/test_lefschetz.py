@@ -23,6 +23,7 @@ from exactqt import (
 from exactqt.errors import NotHomogeneous, ParseError
 from exactqt.lefschetz import (
     Add, And, Eq, Exists, Forall, Lit, Mul, Not, Or, Sub, Var, _eval_term, _random_sentence,
+    _smallest_common_root,
 )
 from exactqt._tower import tower_field
 
@@ -581,6 +582,57 @@ def test_curves_meet_cubic_gcd_roots_without_a_field_scan(monkeypatch):
     r = curves_meet(7, "z^3 - x^3", "z^3 - x^3 + y^3", 3)
     assert (r.meet, r.level, r.point) == (True, 1, ("1", "0", "1"))
     assert calls == []
+
+
+def _first_common_zero_by_scan(f, g, field):
+    for z in field.elements():
+        if f.evaluate(z).is_zero() and g.evaluate(z).is_zero():
+            return z
+    return None
+
+
+@st.composite
+def _planted_pairs(draw):
+    """(p, n, c, a, b): f = c*a and g = c*b over tower_field(p, n), with c the
+    monic polynomial of lower coefficients c (degree 0-3) and a, b of degree
+    below 4 or zero; every coefficient is a payload tuple, low degree first."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    n = draw(st.integers(1, 4))
+    coeff = st.tuples(*[st.integers(0, p - 1)] * n)
+    c = draw(st.lists(coeff, max_size=3))
+    a, b = draw(st.lists(coeff, max_size=4)), draw(st.lists(coeff, max_size=4))
+    return p, n, tuple(c), tuple(a), tuple(b)
+
+
+def test_smallest_common_root_matches_a_scan_in_element_order():
+    shapes = set()
+
+    @settings(max_examples=200)
+    @given(_planted_pairs())
+    @example((2, 1, ((1,), (0,)), ((1,),), ((1,),)))          # z^2 + 1 = (z + 1)^2
+    @example((2, 2, ((0, 1), (0, 0)), ((1, 0),), ((1, 0),)))  # z^2 = t
+    @example((2, 1, ((0,), (1,)), ((1,),), ((1,),)))          # z^2 + z, roots 0 and 1
+    @example((2, 1, ((1,), (1,)), ((1,),), ((1,),)))          # z^2 + z + 1, no root in F_2
+    @example((2, 2, ((1, 0), (1, 0)), ((1, 0),), ((0, 1),)))  # z^2 + z + 1 over F_4
+    @example((3, 1, ((1,), (0,)), ((1,),), ((1,),)))          # z^2 + 1, no root in F_3
+    @example((5, 1, ((4,), (0,)), ((1,),), ((1,),)))          # z^2 - 1
+    @example((3, 2, ((1, 0),), (), ()))                       # both zero
+    @example((3, 2, ((1, 0),), (), ((1, 1),)))                # one zero
+    def check(case):
+        p, n, c, a, b = case
+        field = tower_field(p, n)
+        common = Polynomial(field, list(c) + [1])
+        f, g = common * Polynomial(field, a), common * Polynomial(field, b)
+        got = _smallest_common_root(list(f.coeffs), list(g.coeffs), field)
+        want = _first_common_zero_by_scan(f, g, field)
+        assert (got is None) == (want is None)
+        assert got is None or got == want
+        h = f.gcd(g)
+        if p == 2 and h.degree == 2:
+            shapes.add("z^2 = u" if h.coeffs[1].is_zero() else "Artin-Schreier")
+
+    check()
+    assert shapes == {"z^2 = u", "Artin-Schreier"}
 
 
 def test_curves_meet_exhausted_bound_reports_unknown():

@@ -157,6 +157,27 @@ def test_gaussian_triples_match_fraction_pairs(u, v, bad, slot):
         QI.element(tuple(broken))
 
 
+@pytest.mark.parametrize("pair", [
+    (0.1, 0), (0, 0.5), (True, 0), (0, False), ("1/2", 0), (1, None),
+])
+def test_gaussian_pair_refuses_float_bool_and_str(pair):
+    # a float would enter the exact library as its binary fraction
+    with pytest.raises(TypeError):
+        QI.element(pair)
+
+
+def test_gaussian_pair_takes_int_and_fraction():
+    assert QI.element((Fraction(1, 2), 3)).payload == (1, 6, 2)
+    assert QI.element([-2, Fraction(4, 6)]).payload == (-6, 2, 3)
+
+
+@pytest.mark.parametrize("field", [PrimeField(5), F9, tower_field(3, 3)])
+@pytest.mark.parametrize("raw", [(True, 2), (1, False), (1.0, 2), (1, 2.5), ("1", 2)])
+def test_finite_field_payload_refuses_bool_float_and_str(field, raw):
+    with pytest.raises(TypeError):
+        field.element(raw)
+
+
 @pytest.mark.parametrize("q,field", [
     (2, F4), (3, F9), (4, F16), (5, F25), (7, QuadExt(7, 1)),
 ])
