@@ -6,21 +6,30 @@ executable.  Fixed point search walks extension levels of the base field:
 odd levels carry the conjugation with them, even levels only embed as rings
 (the extended field's involution restricts to the identity on the base), so
 even levels are opt-in for linear maps and meaningless for antilinear ones.
+
+Linear maps list the points of each eigenspace.  Antilinear maps are
+solved by Galois descent (Speiser's lemma; Serre, Local Fields, ch. X; see
+_descent_points), not by a scan of the projective space, which
+_antilinear_points keeps as the tests' oracle.  An eigenspace or norm class
+with more than SCAN_LIMIT projective points lists a basis only, with a
+note, so bound_too_small flags only a linear map's incomplete spectrum.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 from .embed import _build_inclusion, extend_matrix
 from .errors import DimensionMismatch, FieldMismatch, ImproperField, NonSquare, WrongField
-from .forms import Matrix, StateVector, eigen_decompose, rank
+from .forms import Matrix, Polynomial, StateVector, eigen_decompose, rank
 from .jsonio import _Record
 from .starfield import Element, QuadExt
 
-# Levels whose projective point count exceeds this are not scanned; the
-# report says so instead of stalling.  The CLI surfaces the value.
+# An eigenspace or norm class with more projective points than this lists
+# a basis only; the report says so instead of stalling.  The CLI surfaces
+# the value.
 SCAN_LIMIT = 20000
 
 
@@ -108,10 +117,12 @@ def _projective_count(order: int, dim: int) -> int:
     return (order**dim - 1) // (order - 1)
 
 
-def _normalized_coordinates(field, dim: int):
-    """Every normalized coordinate list: zeros, then a 1, then free entries."""
-    elems = list(field.elements())
-    zero, one = field.zero(), field.one()
+def _normalized_coordinates(elems, dim: int):
+    """Every normalized coordinate list over elems, a field's elements in
+    element order (zero first): zeros, then a 1, then free entries."""
+    elems = list(elems)
+    zero = elems[0]
+    one = zero.owner.one()
     for pivot in range(dim):
         for tail in itertools.product(elems, repeat=dim - 1 - pivot):
             yield [zero] * pivot + [one] + list(tail)
@@ -119,8 +130,27 @@ def _normalized_coordinates(field, dim: int):
 
 def _projective_reps(field, dim: int):
     """All normalized representatives of the projective space of field^dim."""
-    for coords in _normalized_coordinates(field, dim):
+    for coords in _normalized_coordinates(field.elements(), dim):
         yield StateVector(field, coords)
+
+
+def _span_points(basis, order: int, scalars, what: str, level: int, notes: list):
+    """The normalized points of the span of basis over a field of `order`
+    elements, which scalars() lists in element order; when they number more
+    than SCAN_LIMIT, the normalized basis only, with a note naming `what`."""
+    size = _projective_count(order, len(basis))
+    if size > SCAN_LIMIT:
+        notes.append(f"level {level}: {what} holds {size} projective points, "
+                     f"over the scan limit {SCAN_LIMIT}; listing a basis only")
+        return [_normalize(b) for b in basis]
+    points = []
+    # not _projective_reps, whose points the benchmark's tracer counts
+    for combo in _normalized_coordinates(scalars(), len(basis)):
+        v = basis[0].scale(combo[0])
+        for c, b in zip(combo[1:], basis[1:]):
+            v = v + b.scale(c)
+        points.append(_normalize(v))
+    return points
 
 
 def _eigen_points(mhat: Matrix, level: int, notes: list):
@@ -129,23 +159,86 @@ def _eigen_points(mhat: Matrix, level: int, notes: list):
     dec = eigen_decompose(mhat)
     pts: list[tuple[StateVector, Element]] = []
     for pair in dec.pairs:
-        k = len(pair.basis)
-        size = _projective_count(field.order, k)
-        if size > SCAN_LIMIT:
-            notes.append(
-                f"level {level}: eigenspace of {pair.value} holds {size} projective "
-                f"points, over the scan limit {SCAN_LIMIT}; listing a basis only")
-            combos = [tuple(field.one() if i == j else field.zero() for i in range(k))
-                      for j in range(k)]
-        else:
-            # not _projective_reps, whose points the benchmark's tracer counts
-            combos = _normalized_coordinates(field, k)
-        for combo in combos:
-            v = StateVector(field, [field.zero()] * mhat.rows)
-            for c, b in zip(combo, pair.basis):
-                v = v + b.scale(c)
-            pts.append((_normalize(v), pair.value))
+        for v in _span_points(pair.basis, field.order, field.elements,
+                              f"eigenspace of {pair.value}", level, notes):
+            pts.append((v, pair.value))
     return pts, dec.complete
+
+
+@functools.lru_cache(maxsize=None)
+def _norm_minus_one(field: QuadExt) -> Element:
+    """An element nu of F_{q^2} with nu nu^gamma = -1, for odd p.
+
+    i, the first root of z^2 + 1, serves when it is fixed (N(i) = i^2).
+    Otherwise -1 is a non-square of F_q, so p = 3 (mod 4), and i^gamma = -i
+    gives N(a + b i) = a^2 + b^2 for a, b in F_p: the first b with -1 - b^2
+    a square mod p, and a = its root (-1 - b^2)^((p+1)/4), make nu.
+    """
+    i = Polynomial(field, [1, 0, 1]).roots()[0]
+    if i.is_fixed():
+        return i
+    p = field.p
+    for b in range(p):
+        c = (-1 - b * b) % p
+        a = pow(c, (p + 1) // 4, p)
+        if a * a % p == c:
+            return field.element(a) + field.element(b) * i
+    raise ArithmeticError("-1 is a sum of two squares mod p")  # unreachable
+
+
+def _norm_preimage(mu: Element) -> Element:
+    """A lambda with lambda lambda^gamma = mu, for mu in the fixed field F_q^*.
+
+    The first root z of z^2 - mu is fixed when mu is a square of F_q (always
+    in characteristic 2), and then N(z) = z^2 = mu.  Otherwise z^gamma = -z,
+    so N(z) = -mu and nu z, with N(nu) = -1, has norm mu.
+    """
+    z = Polynomial(mu.owner, [-mu, 0, 1]).roots()[0]
+    return z if z.is_fixed() else _norm_minus_one(mu.owner) * z
+
+
+def _descent_basis(mhat: Matrix, lam: Element, eigenbasis) -> list[StateVector]:
+    """An F_q-basis of the vectors T fixes, T(v) = lam^-1 mhat v^gamma on E_mu.
+
+    T is a semilinear involution of E_mu, so E_mu = F_{q^2} (x) Fix(T)
+    (Speiser's lemma), and F_q-independent vectors of Fix(T) are independent
+    over F_{q^2}.  v + T(v) and a v + T(a v), a the field generator, span
+    Fix(T) over F_q as v runs over a basis of E_mu; the first of them that
+    are independent over F_{q^2}, as many as E_mu's dimension, are a basis.
+    """
+    field = mhat.owner
+    lam_inv = lam.inverse()
+    kept: list[StateVector] = []
+    for v in eigenbasis:
+        for w in (v, v.scale(field.generator())):
+            u = w + (mhat @ w.conj()).scale(lam_inv)
+            if rank(Matrix.from_columns(field, kept + [u])) > len(kept):
+                kept.append(u)
+    return kept
+
+
+def _descent_points(mhat: Matrix, level: int, notes: list):
+    """Fixed directions of psi -> mhat psi^gamma by Galois descent, in the
+    order of _antilinear_points (pivot position, then the tail's sort keys).
+
+    If mhat psi^gamma = lambda psi, then psi is an eigenvector of
+    N = mhat mhat^gamma for mu = lambda lambda^gamma in F_q^*.  For each such
+    mu, with lambda any preimage, the fixed directions of multiplier norm mu
+    are the points of P(Fix(T)) over F_q (see _descent_basis); each one's
+    multiplier is read off its normalized representative, as the scan does.
+    """
+    field = mhat.owner
+    found = []
+    for pair in eigen_decompose(mhat @ mhat.conj_entrywise()).pairs:
+        if not pair.value.is_fixed():
+            continue
+        fix = _descent_basis(mhat, _norm_preimage(pair.value), pair.basis)
+        for psi in _span_points(fix, field.q, field.fixed_elements,
+                                f"norm class of {pair.value}", level, notes):
+            pivot = next(i for i in range(psi.dim) if not psi[i].is_zero())
+            found.append((pivot, psi.sort_key(), psi, (mhat @ psi.conj())[pivot]))
+    found.sort(key=lambda item: item[:2])
+    return [(psi, lam) for _, _, psi, lam in found]
 
 
 def _antilinear_points(mhat: Matrix, level: int):
@@ -169,10 +262,14 @@ def fixed_points(phi: SemilinearMap, max_ext: int = 3,
     c^(Q^k) = c, with Q the base field's order, lies in the level-k subfield;
     when k < m is a scanned level dividing m, the point was listed there and
     is skipped at m.  The test needs no inclusion map, so it does not depend
-    on how the levels are embedded in each other.  bound_too_small means the
-    search provably or possibly missed points within reach: an incomplete
-    spectrum at the top scanned level for linear maps, a level skipped over
-    SCAN_LIMIT for antilinear ones.
+    on how the levels are embedded in each other.
+
+    bound_too_small means the search provably or possibly missed points
+    within reach: an incomplete spectrum at the top scanned level.  Only
+    linear maps can set it.  Antilinear maps are solved by Galois descent
+    at every odd level, and no level is skipped.  An eigenspace (linear) or
+    norm class (antilinear) of more than SCAN_LIMIT projective points lists
+    a basis only, with a note; that does not set the flag.
     """
     base = phi.owner
     if not isinstance(base, QuadExt):
@@ -184,7 +281,6 @@ def fixed_points(phi: SemilinearMap, max_ext: int = 3,
 
     notes: list[str] = []
     levels_scanned: list[int] = []
-    bound_too_small = False
     points: list[ProjectivePoint] = []
     top_complete = True
 
@@ -201,16 +297,9 @@ def fixed_points(phi: SemilinearMap, max_ext: int = 3,
         inc = _build_inclusion(base, m)
         mhat = extend_matrix(inc, phi.matrix)
         if phi.twist == 0:
-            level_pts, complete = _eigen_points(mhat, m, notes)
-            top_complete = complete
+            level_pts, top_complete = _eigen_points(mhat, m, notes)
         else:
-            count = _projective_count(inc.big.order, phi.dim)
-            if count > SCAN_LIMIT:
-                notes.append(
-                    f"level {m}: {count} projective points exceed the scan limit {SCAN_LIMIT}")
-                bound_too_small = True
-                continue
-            level_pts = _antilinear_points(mhat, m)
+            level_pts = _descent_points(mhat, m, notes)
         subfield_orders = [base.order**k for k in levels_scanned if m % k == 0]
         levels_scanned.append(m)
         for rep, lam in level_pts:
@@ -223,8 +312,8 @@ def fixed_points(phi: SemilinearMap, max_ext: int = 3,
                 form_compatible=m % 2 == 1,
             ))
 
-    if phi.twist == 0 and not top_complete:
-        bound_too_small = True
+    bound_too_small = not top_complete
+    if bound_too_small:
         notes.append(
             f"level {levels_scanned[-1] if levels_scanned else 0}: spectrum incomplete; "
             "further points live at levels outside the scanned set")

@@ -256,6 +256,9 @@ class _LogTables:
 
 _LOG_TABLES: dict[tuple[int, tuple[int, ...]], _LogTables] = {}
 
+# FpQuotientField.fixed_elements per descriptor value (type, p and modulus).
+_FIXED_FIELDS: dict[FieldDescriptor, tuple[Element, ...]] = {}
+
 
 def _log_tables(p: int, modulus: tuple[int, ...]) -> _LogTables:
     """The one _LogTables of F_p[t]/(modulus) in this process."""
@@ -285,7 +288,6 @@ class FpQuotientField(FieldDescriptor):
         self.order = p**self.degree
         self._tables = _log_tables(p, modulus)
         self.zero_payload = self._tables.zero
-        self._fixed_cache: tuple[Element, ...] | None = None
 
     def _pad(self, c: tuple[int, ...]) -> tuple[int, ...]:
         return c + (0,) * (self.degree - len(c))
@@ -343,10 +345,19 @@ class FpQuotientField(FieldDescriptor):
             yield Element(self, tup)
 
     def fixed_elements(self) -> tuple[Element, ...]:
-        """The fixed field, in canonical element order (cached)."""
-        if self._fixed_cache is None:
-            self._fixed_cache = tuple(x for x in self.elements() if x.is_fixed())
-        return self._fixed_cache
+        """The fixed field of the involution, in canonical element order.
+
+        Cached per descriptor value, so equal descriptors share one tuple.
+        Here the involution is the identity and every element is fixed;
+        QuadExt lists its fixed field F_q without scanning F_{q^2}.
+        """
+        fixed = _FIXED_FIELDS.get(self)
+        if fixed is None:
+            fixed = _FIXED_FIELDS[self] = self._fixed_field()
+        return fixed
+
+    def _fixed_field(self) -> tuple[Element, ...]:
+        return tuple(self.elements())
 
     def __eq__(self, other) -> bool:
         return type(other) is type(self) and other.p == self.p and other.modulus == self.modulus
@@ -421,6 +432,29 @@ class QuadExt(FpQuotientField):
             return self._pad(_fppoly.powmod(_fppoly.trim(a), self.q, self.modulus, self.p))
         k = log[a]
         return tables.exp[k * self.q % (self.order - 1)] if k >= 0 else a
+
+    def _fixed_field(self) -> tuple[Element, ...]:
+        """F_q as the image of the trace x -> x + x^gamma, which is F_p-linear
+        and maps onto F_q: all F_p-combinations of a basis of the traces of
+        1, t, ..., t^(2e-1), sorted into element order.  That is 2e
+        conjugations and a row reduction mod p; nothing enumerates F_{q^2}.
+        """
+        p, n = self.p, self.degree
+        rows: list[tuple[int, list[int]]] = []  # (pivot, row) with row[pivot] = 1
+        for k in range(n):
+            x = self._pad((0,) * k + (1,))
+            v = list(self.payload_add(x, self.payload_involute(x)))
+            for pivot, row in rows:
+                c = v[pivot]
+                v = [(a - c * b) % p for a, b in zip(v, row)]
+            pivot = next((i for i, a in enumerate(v) if a), None)
+            if pivot is not None:
+                inv = pow(v[pivot], -1, p)
+                rows.append((pivot, [a * inv % p for a in v]))
+        payloads = sorted(tuple(sum(c * row[i] for c, (_, row) in zip(cs, rows)) % p
+                                for i in range(n))
+                          for cs in itertools.product(range(p), repeat=len(rows)))
+        return tuple(Element(self, a) for a in payloads)
 
     def generator(self) -> Element:
         """The class of t, the canonical element outside the fixed field."""

@@ -3,8 +3,10 @@
 import functools
 import itertools
 import random
+import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from exactqt import (
     Matrix,
@@ -12,14 +14,18 @@ from exactqt import (
     QuadExt,
     SemilinearMap,
     StateVector,
+    autocode,
     eigen_decompose,
     fixed_points,
     involute,
+    solve,
     square_is_linear,
 )
+from exactqt._tower import TowerField
 from exactqt.embed import _build_inclusion
 from exactqt.errors import DimensionMismatch, FieldMismatch, ImproperField, NonSquare
-from exactqt.sampling import random_invertible, random_semilinear, random_state
+from exactqt.sampling import random_element, random_invertible, random_semilinear, random_state
+from exactqt.starfield import FpQuotientField
 
 F9 = QuadExt(3, 1)
 
@@ -237,3 +243,107 @@ def test_report_is_deterministic():
     a = fixed_points(phi, max_ext=3).to_json()
     b = fixed_points(phi, max_ext=3).to_json()
     assert a == b
+
+
+def _scan_report(phi, max_ext):
+    """fixed_points with the exhaustive scan in place of Galois descent."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(autocode, "_descent_points",
+                  lambda mhat, level, notes: autocode._antilinear_points(mhat, level))
+        return fixed_points(phi, max_ext=max_ext).to_json()
+
+
+# (field, dim, max_ext): max_ext 3 where P^(dim-1) at level 3 is under
+# SCAN_LIMIT (F_64^3: 4,161 points, F_729^2: 730, F_15625^2: 15,626,
+# F_4096^2: 4,097), 1 where it is not
+_ORACLE_CASES = [(QuadExt(2, 1), 2, 3), (QuadExt(2, 1), 3, 3), (F9, 2, 3), (F9, 3, 1),
+                 (QuadExt(5, 1), 2, 3), (QuadExt(5, 1), 3, 1), (QuadExt(2, 2), 2, 3),
+                 (QuadExt(2, 2), 3, 1)]
+
+
+def _antilinear_map(field, dim, kind, seed):
+    """A random invertible matrix, a scalar c I, or c A (A^gamma)^-1, whose
+    M M^gamma is scalar, so that eigenspaces of dimension dim occur."""
+    rng = random.Random(seed)
+    if kind == "random":
+        return random_invertible(rng, field, dim)
+    c = random_element(rng, field)
+    while c.is_zero():
+        c = random_element(rng, field)
+    if kind == "scalar":
+        return Matrix.scalar(field, dim, c)
+    a = random_invertible(rng, field, dim)
+    abar = a.conj_entrywise()
+    inv = Matrix.from_columns(field, [solve(abar, StateVector.basis_vector(field, dim, j))
+                                      for j in range(dim)])
+    return (a @ inv).scale(c)
+
+
+@pytest.mark.parametrize("field, dim, max_ext", _ORACLE_CASES, ids=str)
+@settings(max_examples=6)
+@given(kind=st.sampled_from(["random", "random", "scalar", "conjugated"]),
+       seed=st.integers(0, 10**6))
+@example(kind="scalar", seed=0)
+@example(kind="conjugated", seed=1)
+def test_descent_matches_the_projective_scan(field, dim, max_ext, kind, seed):
+    phi = SemilinearMap(_antilinear_map(field, dim, kind, seed), 1)
+    report = fixed_points(phi, max_ext=max_ext)
+    assert report.to_json() == _scan_report(phi, max_ext)
+    assert not report.bound_too_small
+
+
+def _points_by_level(report):
+    counts = {}
+    for pt in report.points:
+        counts[pt.level] = counts.get(pt.level, 0) + 1
+    return counts
+
+
+def test_norm_preimages():
+    for field in (F9, QuadExt(5, 1), QuadExt(3, 3), QuadExt(7, 1), QuadExt(2, 2)):
+        for mu in field.fixed_elements()[1:]:
+            lam = autocode._norm_preimage(mu)
+            assert lam * lam.conj() == mu
+
+
+def test_a_norm_class_over_the_scan_limit_lists_a_basis():
+    # I on F_9^3: level 5 has q = 243 and 243^2 + 243 + 1 = 59,293 points in
+    # the class of 1; the basis it lists lies in F_3^3, so level 1 has them
+    report = fixed_points(SemilinearMap(Matrix.identity(F9, 3), 1), max_ext=5)
+    assert report.notes[-1] == ("level 5: norm class of 1 holds 59293 projective points, "
+                                "over the scan limit 20000; listing a basis only")
+    assert not report.bound_too_small
+    assert report.levels_scanned == (1, 3, 5)
+    assert _points_by_level(report) == {1: 13, 3: 757 - 13}
+
+
+@pytest.mark.parametrize("base, entries", [
+    (F9, [["1", "t", "0"], ["0", "1", "t"], ["1", "0", "2"]]),
+    (F9, [["2", "0"], ["0", "2"]]),
+    (QuadExt(2, 1), [["1", "t", "0"], ["t", "1", "0"], ["0", "0", "1+t"]]),
+    (QuadExt(2, 1), [["0", "1"], ["1", "0"]]),
+])
+def test_antilinear_fixed_points_enumerate_no_extension_field(monkeypatch, base, entries):
+    # only the base field may be listed (the embedding certificate does)
+    def guarded(elements):
+        def wrapper(self):
+            if self.order > base.order:
+                raise AssertionError(f"{self.shorthand()} enumerated")
+            return elements(self)
+        return wrapper
+
+    for cls in (FpQuotientField, QuadExt, TowerField):
+        monkeypatch.setattr(cls, "elements", guarded(cls.__dict__["elements"]))
+    report = fixed_points(SemilinearMap(Matrix(base, entries), 1), max_ext=3)
+    assert report.levels_scanned == (1, 3)
+
+
+def test_f9_3x3_antilinear_level_3_within_ceiling():
+    # P^2(F_729) holds 532,171 points, which the scan skipped
+    start = time.monotonic()
+    m = Matrix(F9, [["1", "t", "0"], ["0", "1", "t"], ["1", "0", "2"]])
+    report = fixed_points(SemilinearMap(m, 1), max_ext=3)
+    assert time.monotonic() - start <= 1.0
+    assert report.levels_scanned == (1, 3)
+    assert not report.bound_too_small
+    assert _points_by_level(report) == {3: 3}

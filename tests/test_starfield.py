@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -179,7 +181,9 @@ def test_finite_field_payload_refuses_bool_float_and_str(field, raw):
 
 
 @pytest.mark.parametrize("q,field", [
-    (2, F4), (3, F9), (4, F16), (5, F25), (7, QuadExt(7, 1)),
+    (2, F4), (3, F9), (4, F16), (5, F25), (7, QuadExt(7, 1)), (16, QuadExt(2, 4)),
+    (9, QuadExt(3, 2)), (27, QuadExt(3, 3)), (25, QuadExt(5, 2)), (13, QuadExt(13, 1)),
+    (3, QuadExt(3, 1, modulus=(2, 2, 1))),
 ])
 def test_fixed_set_is_index_two_subfield(q, field):
     fixed = [x for x in field.elements() if is_fixed(x)]
@@ -190,6 +194,34 @@ def test_fixed_set_is_index_two_subfield(q, field):
         for y in fixed:
             assert is_fixed(x + y)
             assert is_fixed(x * y)
+
+
+@pytest.mark.parametrize("field", [PrimeField(5), tower_field(2, 3)], ids=str)
+def test_identity_involution_fixes_every_element(field):
+    assert field.fixed_elements() == tuple(field.elements())
+
+
+def test_equal_descriptors_share_one_fixed_field():
+    a, b = QuadExt(3, 2), QuadExt(3, 2, modulus=QuadExt(3, 2).modulus)
+    assert a is not b
+    assert a.fixed_elements() is b.fixed_elements()
+    # F_3[t]/(t) twice, as a tower field and as the prime field: two fields
+    assert tower_field(3, 1).fixed_elements()[0].owner == tower_field(3, 1)
+    assert PrimeField(3).fixed_elements()[0].owner == PrimeField(3)
+
+
+def test_fixed_elements_of_a_large_field_within_ceiling(monkeypatch):
+    from exactqt.sampling import random_hermitian
+
+    # the scan went through all 1,018,081 elements of F_{1009^2}
+    monkeypatch.setattr(starfield, "_FIXED_FIELDS", {})
+    field = QuadExt(1009, 1)
+    start = time.monotonic()
+    fixed = field.fixed_elements()
+    assert time.monotonic() - start <= 0.5
+    assert fixed == tuple(field.element(a) for a in range(1009))
+    h = random_hermitian(random.Random(1), field, 4)
+    assert all(h.entry(i, i).is_fixed() for i in range(4))
 
 
 @pytest.mark.parametrize("field", [F4, F9, F16, F25])
