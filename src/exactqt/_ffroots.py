@@ -1,33 +1,37 @@
-"""Roots of a polynomial over a finite field F_Q, computed on payloads.
+"""F[x] on payloads for every field descriptor, and roots over finite fields.
 
-The roots of f in F_Q are those of g = gcd(f, x^Q - x), the product of
-f's distinct linear factors over F_Q.  Equal-degree splitting (Berlekamp
-1970; Cantor and Zassenhaus 1981) then pulls g apart into those factors:
-for odd p, h splits as gcd(h, (x + a)^((Q-1)/2) - 1), which collects the
-roots r with r + a a nonzero square; in characteristic 2 (Q = 2^k), as
-gcd(h, Tr(a x)) with the trace Tr(y) = y + y^2 + ... + y^(2^(k-1)) mod h,
-which collects the roots r with Tr(a r) = 0.  Any two distinct roots are
-separated by some shift a in F_Q (the nonzero squares are no union of
-cosets of an additive subgroup; Tr is a nonzero linear form), so the
-shifts are taken in payload order and no random choice is needed.
+_Ring is the one polynomial ring of the package: Polynomial and char_poly
+(forms) compute with it over the finite fields and Q(i) alike, through the
+payload_* methods and zero_payload that every descriptor has.  A polynomial
+is a list of payloads, low degree first, with no trailing zero.  So the log
+tables serve this code wherever they are built, and no Element is made
+inside the loops.
 
-A polynomial here is a list of payloads, low degree first, with no
-trailing zero.  Every product, sum and inverse goes through the field's
-payload_* methods, so the log tables serve this code wherever they are
-built, and no Element is made inside the loops.
+The roots of f in a finite field F_Q are those of g = gcd(f, x^Q - x), the
+product of f's distinct linear factors over F_Q.  Equal-degree splitting
+(Berlekamp 1970; Cantor and Zassenhaus 1981) then pulls g apart into those
+factors: for odd p, h splits as gcd(h, (x + a)^((Q-1)/2) - 1), which
+collects the roots r with r + a a nonzero square; in characteristic 2
+(Q = 2^k), as gcd(h, Tr(a x)) with the trace Tr(y) = y + y^2 + ... +
+y^(2^(k-1)) mod h, which collects the roots r with Tr(a r) = 0.  No random
+choice is needed.  For odd p, some shift a in F_Q separates any two roots
+(the nonzero squares are no union of cosets of an additive subgroup), so
+the shifts are taken in payload order.  For p = 2 they are the F_2-basis
+t^(k-1), ..., t^0: Tr(xy) is nondegenerate, so r != r' have
+Tr(t^i (r - r')) != 0 for some i, and k rounds separate every pair.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .starfield import FpQuotientField
+from .starfield import FieldDescriptor, FpQuotientField
 
 
 class _Ring:
-    """F[x] on payload lists, for one finite field F."""
+    """F[x] on payload lists, for one field F."""
 
-    def __init__(self, field: FpQuotientField):
+    def __init__(self, field: FieldDescriptor):
         self.mul = field.payload_mul
         self.add = field.payload_add
         self.sub = field.payload_sub
@@ -53,20 +57,42 @@ class _Ring:
             out[i] = op(out[i], c)
         return self.trim(out)
 
+    def product(self, a: list, b: list) -> list:
+        mul, add, zero = self.mul, self.add, self.zero
+        out = [zero] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x != zero:
+                for j, y in enumerate(b):
+                    out[i + j] = add(out[i + j], mul(x, y))
+        return self.trim(out)
+
     def divmod(self, a: list, m: list) -> tuple[list, list]:
-        """Quotient and remainder of a by the monic m."""
+        """Quotient and remainder of a by a nonzero m, with one inverse of
+        its leading coefficient, none when that is one."""
+        if not m:
+            raise ZeroDivisionError("polynomial division by zero")
         mul, add, neg, zero = self.mul, self.add, self.neg, self.zero
+        lead_inv = None if m[-1] == self.one else self.inv(m[-1])
         n = len(m) - 1
         rem = list(a)
         quot = [zero] * max(len(a) - n, 0)
         for i in range(len(quot) - 1, -1, -1):
-            c = quot[i] = rem[i + n]
+            c = rem[i + n]
             if c != zero:
+                if lead_inv is not None:
+                    c = mul(c, lead_inv)
+                quot[i] = c
                 c = neg(c)
                 for j in range(n):
                     rem[i + j] = add(rem[i + j], mul(c, m[j]))
         del rem[n:]
         return quot, self.trim(rem)
+
+    def exact_div(self, a: list, m: list) -> list:
+        quot, rem = self.divmod(a, m)
+        if rem:
+            raise ArithmeticError("division was not exact")
+        return quot
 
     def sqrmod(self, a: list, m: list) -> list:
         """a^2 mod m, each cross product taken once and doubled (in
@@ -97,18 +123,17 @@ class _Ring:
         return result
 
     def gcd(self, a: list, b: list) -> list:
-        """gcd of the monic a and any b, monic."""
+        """The monic gcd of a and b; [] when both are zero."""
         while b:
-            b = self.monic(b)
             a, b = b, self.divmod(a, b)[1]
-        return a
+        return self.monic(a) if a else a
 
 
 def field_roots(field: FpQuotientField, coeffs) -> list:
     """The payloads of the distinct roots in field of a nonzero polynomial.
 
-    coeffs are payloads, low degree first, with a nonzero last one.  The roots come back in payload order,
-    which is element order.
+    coeffs are payloads, low degree first, with a nonzero last one.  The
+    roots come back in payload order, which is element order.
     """
     ring = _Ring(field)
     zero, one = ring.zero, ring.one
@@ -126,6 +151,8 @@ def field_roots(field: FpQuotientField, coeffs) -> list:
         for _ in range(k):
             xq = ring.sqrmod(xq, f)
         todo = [ring.gcd(f, ring.combine(ring.add, xq, x))]
+        # the F_2-basis t^(k-1), ..., t^0
+        shifts = iter([tuple(int(i == j) for i in range(k)) for j in range(k - 1, -1, -1)])
     else:
         # f(0) != 0, so x^Q - x and x^(Q-1) - 1 = s^2 - 1 share their gcd
         # with f; and gcd(g, s - 1) is the split by the shift a = 0.
@@ -133,8 +160,8 @@ def field_roots(field: FpQuotientField, coeffs) -> list:
         g = ring.gcd(f, ring.combine(ring.sub, ring.sqrmod(s, f), [one]))
         d = ring.gcd(g, ring.combine(ring.sub, s, [one]))
         todo = [d, ring.divmod(g, d)[0]]
-    shifts = itertools.product(range(p), repeat=k)
-    next(shifts)  # a = 0: no split in characteristic 2, already made for odd p
+        shifts = itertools.product(range(p), repeat=k)
+        next(shifts)  # a = 0: the split just made
     while True:
         found += [ring.neg(h[0]) for h in todo if len(h) == 2]
         todo = [h for h in todo if len(h) > 2]

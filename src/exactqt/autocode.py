@@ -9,10 +9,10 @@ even levels are opt-in for linear maps and meaningless for antilinear ones.
 
 Linear maps list the points of each eigenspace.  Antilinear maps are
 solved by Galois descent (Speiser's lemma; Serre, Local Fields, ch. X; see
-_descent_points), not by a scan of the projective space, which
-_antilinear_points keeps as the tests' oracle.  An eigenspace or norm class
-with more than SCAN_LIMIT projective points lists a basis only, with a
-note, so bound_too_small flags only a linear map's incomplete spectrum.
+_descent_points), not by a scan of the projective space, which the tests
+keep as the oracle.  An eigenspace or norm class with more than SCAN_LIMIT
+projective points lists a basis only, with a note, so bound_too_small
+flags only a linear map's incomplete spectrum.
 """
 
 from __future__ import annotations
@@ -219,7 +219,7 @@ def _descent_basis(mhat: Matrix, lam: Element, eigenbasis) -> list[StateVector]:
 
 def _descent_points(mhat: Matrix, level: int, notes: list):
     """Fixed directions of psi -> mhat psi^gamma by Galois descent, in the
-    order of _antilinear_points (pivot position, then the tail's sort keys).
+    order of a projective scan (pivot position, then the tail's sort keys).
 
     If mhat psi^gamma = lambda psi, then psi is an eigenvector of
     N = mhat mhat^gamma for mu = lambda lambda^gamma in F_q^*.  For each such
@@ -239,18 +239,6 @@ def _descent_points(mhat: Matrix, level: int, notes: list):
             found.append((pivot, psi.sort_key(), psi, (mhat @ psi.conj())[pivot]))
     found.sort(key=lambda item: item[:2])
     return [(psi, lam) for _, _, psi, lam in found]
-
-
-def _antilinear_points(mhat: Matrix, level: int):
-    """Exhaustive projective scan for psi with M psi^gamma proportional to psi."""
-    pts: list[tuple[StateVector, Element]] = []
-    for psi in _projective_reps(mhat.owner, mhat.rows):
-        w = mhat @ psi.conj()
-        pivot = next(i for i in range(psi.dim) if not psi[i].is_zero())
-        lam = w[pivot]
-        if not lam.is_zero() and w == psi.scale(lam):
-            pts.append((psi, lam))
-    return pts
 
 
 def fixed_points(phi: SemilinearMap, max_ext: int = 3,

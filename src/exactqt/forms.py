@@ -4,15 +4,18 @@ The standard sesquilinear form conjugates the first argument:
 <x, y> = sum over k of involute(x_k) * y_k.  Everything downstream
 (adjoints, unitarity, Born weights) is phrased against this convention.
 
-char_poly runs a fraction-free Bareiss elimination over the polynomial
-ring, which stays exact in every characteristic; eigenvalues come from
-Polynomial.roots: over finite fields, gcd(f, x^Q - x) split by equal
-degree (_ffroots), and over Q(i), Newton lifting of the squarefree part's
-roots from an inert prime p = 3 (mod 4) (so the owner-field spectrum is
-always complete, even when the closure spectrum is not).  Over Q(i) that
-lifting reads the coefficients' integer triples (a, b, d) directly (see
-starfield); the candidates share one denominator, so they are sorted as
-Gaussian integers before any element is built.
+Polynomial arithmetic and char_poly compute on payload lists in
+_ffroots._Ring, the one polynomial ring for every field, Q(i) included;
+Polynomial wraps its results in Elements.  char_poly runs a fraction-free
+Bareiss elimination over that ring, which stays exact in every
+characteristic.  Eigenvalues come from Polynomial.roots: over finite
+fields, gcd(f, x^Q - x) split by equal degree (_ffroots), and over Q(i),
+Newton lifting of the squarefree part's roots from an inert prime
+p = 3 (mod 4) (so the owner-field spectrum is always complete, even when
+the closure spectrum is not).  Over Q(i) that lifting reads the
+coefficients' integer triples (a, b, d) directly (see starfield); the
+candidates share one denominator, so they are sorted as Gaussian integers
+before any element is built.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from ._ffroots import field_roots
+from ._ffroots import _Ring, field_roots
 from ._gaussint import gaussian_root_candidates
 from .errors import DimensionMismatch, FieldMismatch, Inconsistent, NonSquare
 from .starfield import Element, FieldDescriptor, GaussianRationals
@@ -285,73 +288,58 @@ class Polynomial:
             return [Element(f, r) for r in field_roots(f, [c.payload for c in self.coeffs])]
         return _gaussian_rational_roots(self if self.is_monic() else self._monic())
 
+    @classmethod
+    def _of_payloads(cls, owner: FieldDescriptor, payloads: list) -> Polynomial:
+        """The polynomial of trimmed payloads, wrapped without coercion."""
+        poly = cls.__new__(cls)
+        poly.owner = owner
+        poly.coeffs = tuple(Element(owner, c) for c in payloads)
+        return poly
+
+    def _operands(self, other: Polynomial) -> tuple[_Ring, list, list]:
+        """The ring of the field self and other share, and their payloads."""
+        if self.owner is not other.owner and self.owner != other.owner:
+            raise FieldMismatch(f"{self.owner.shorthand()} vs {other.owner.shorthand()}")
+        return _Ring(self.owner), [c.payload for c in self.coeffs], [c.payload for c in other.coeffs]
+
     def _derivative(self) -> Polynomial:
-        return Polynomial(self.owner, [self.owner.element(k) * c
-                                       for k, c in enumerate(self.coeffs) if k])
+        ring, a, _ = self._operands(self)
+        return Polynomial._of_payloads(self.owner, ring.trim([
+            ring.mul(self.owner.payload_from_int(k), c) for k, c in enumerate(a) if k]))
 
     def __add__(self, other: Polynomial) -> Polynomial:
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] = out[k] + c
-        return Polynomial(self.owner, out)
+        ring, a, b = self._operands(other)
+        return Polynomial._of_payloads(self.owner, ring.combine(ring.add, a, b))
 
     def __neg__(self) -> Polynomial:
-        return Polynomial(self.owner, [-c for c in self.coeffs])
+        ring, a, _ = self._operands(self)
+        return Polynomial._of_payloads(self.owner, [ring.neg(c) for c in a])
 
     def __sub__(self, other: Polynomial) -> Polynomial:
-        return self + (-other)
+        ring, a, b = self._operands(other)
+        return Polynomial._of_payloads(self.owner, ring.combine(ring.sub, a, b))
 
     def __mul__(self, other: Polynomial) -> Polynomial:
-        if self.is_zero() or other.is_zero():
-            return Polynomial(self.owner, [])
-        out = [self.owner.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Polynomial(self.owner, out)
-
-    def _long_division(self, other: Polynomial) -> tuple[list[Element], list[Element]]:
-        """Quotient and remainder coefficient lists (the remainder untrimmed)."""
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        lead_inv = other.coeffs[-1].inverse()
-        qlen = max(len(rem) - len(other.coeffs) + 1, 0)
-        quot = [self.owner.zero()] * qlen
-        for i in range(qlen - 1, -1, -1):
-            c = rem[i + len(other.coeffs) - 1] * lead_inv
-            quot[i] = c
-            if c.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                rem[i + j] = rem[i + j] - c * b
-        return quot, rem
+        ring, a, b = self._operands(other)
+        return Polynomial._of_payloads(self.owner, ring.product(a, b))
 
     def exact_div(self, other: Polynomial) -> Polynomial:
-        """Division known to be remainder-free (Bareiss guarantees it)."""
-        quot, rem = self._long_division(other)
-        if any(not c.is_zero() for c in rem):
-            raise ArithmeticError("division was not exact")
-        return Polynomial(self.owner, quot)
+        """Division known to be remainder-free; ArithmeticError if it is not."""
+        ring, a, b = self._operands(other)
+        return Polynomial._of_payloads(self.owner, ring.exact_div(a, b))
 
     def __mod__(self, other: Polynomial) -> Polynomial:
-        return Polynomial(self.owner, self._long_division(other)[1])
+        ring, a, b = self._operands(other)
+        return Polynomial._of_payloads(self.owner, ring.divmod(a, b)[1])
 
     def gcd(self, other: Polynomial) -> Polynomial:
         """Monic greatest common divisor; zero when both are zero."""
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a if a.is_zero() else a._monic()
+        ring, a, b = self._operands(other)
+        return Polynomial._of_payloads(self.owner, ring.gcd(a, b))
 
     def _monic(self) -> Polynomial:
-        lead_inv = self.coeffs[-1].inverse()
-        return Polynomial(self.owner, [c * lead_inv for c in self.coeffs])
+        ring, a, _ = self._operands(self)
+        return Polynomial._of_payloads(self.owner, ring.monic(a))
 
     def __eq__(self, other) -> bool:
         return (
@@ -384,41 +372,30 @@ def char_poly(m: Matrix) -> Polynomial:
     Bareiss's two-term update divides by the previous pivot, and that
     division is exact in any integral domain, so no characteristic-specific
     integer divisions appear (Leverrier-style traces would divide by k!).
+    The pivot at step k is the leading principal minor of order k + 1 of
+    x*I - m, which is monic, so no pivot is zero and no rows are swapped.
+    The sweep runs on payload lists in _Ring; one Polynomial is built at
+    the end.
     """
     if not m.is_square():
         raise NonSquare("characteristic polynomial needs a square matrix")
-    f = m.owner
+    ring = _Ring(m.owner)
+    product, sub, one = ring.product, ring.sub, ring.one
     n = m.rows
-    work: list[list[Polynomial]] = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == j:
-                row.append(Polynomial(f, [-m.entry(i, j), f.one()]))
-            else:
-                row.append(Polynomial(f, [-m.entry(i, j)]))
-        work.append(row)
-    sign = 1
-    prev = Polynomial.constant(f, 1)
+    work = [[ring.trim([ring.neg(m.entry(i, j).payload)] + ([one] if i == j else []))
+             for j in range(n)] for i in range(n)]
+    prev = [one]
     for k in range(n - 1):
-        if work[k][k].is_zero():
-            pivot_row = next((i for i in range(k + 1, n) if not work[i][k].is_zero()), None)
-            if pivot_row is None:
-                raise ArithmeticError("unexpected zero column in Bareiss sweep")
-            work[k], work[pivot_row] = work[pivot_row], work[k]
-            sign = -sign
-        for i in range(k + 1, n):
+        top, pivot = work[k], work[k][k]
+        for row in work[k + 1:]:
             for j in range(k + 1, n):
-                num = work[k][k] * work[i][j] - work[i][k] * work[k][j]
-                work[i][j] = num.exact_div(prev)
-            work[i][k] = Polynomial(f, [])
-        prev = work[k][k]
+                num = ring.combine(sub, product(pivot, row[j]), product(row[k], top[j]))
+                row[j] = ring.exact_div(num, prev)
+        prev = pivot
     det = work[n - 1][n - 1]
-    if sign < 0:
-        det = -det
-    if det.degree != n or not det.is_monic():
+    if len(det) != n + 1 or det[-1] != one:
         raise ArithmeticError("characteristic polynomial lost monicity")
-    return det
+    return Polynomial._of_payloads(m.owner, det)
 
 
 def _rref(rows: list[list[Element]], field: FieldDescriptor) -> tuple[list[list[Element]], list[int]]:

@@ -763,10 +763,7 @@ def _smallest_common_root(f1: list[Element], g1: list[Element], field) -> Elemen
     f, g = Polynomial(field, f1), Polynomial(field, g1)
     if f.is_zero() and g.is_zero():
         return field.zero()
-    h = f.gcd(g)
-    if h.degree < 1:
-        return None
-    roots = h.roots()
+    roots = f.gcd(g).roots()
     return roots[0] if roots else None
 
 

@@ -633,9 +633,6 @@ class GaussianRationals(FieldDescriptor):
         sign = "+" if im_part > 0 else ""
         return f"{re_part}{sign}{im_text}"
 
-    def imag_unit(self) -> Element:
-        return Element(self, (0, 1, 1))
-
     def fixed_elements(self):
         raise FieldNotFinite("Q(i) has infinitely many fixed elements")
 

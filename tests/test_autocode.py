@@ -245,11 +245,23 @@ def test_report_is_deterministic():
     assert a == b
 
 
+def _antilinear_points(mhat, level):
+    """Exhaustive projective scan for psi with M psi^gamma proportional to psi."""
+    pts = []
+    for psi in autocode._projective_reps(mhat.owner, mhat.rows):
+        w = mhat @ psi.conj()
+        pivot = next(i for i in range(psi.dim) if not psi[i].is_zero())
+        lam = w[pivot]
+        if not lam.is_zero() and w == psi.scale(lam):
+            pts.append((psi, lam))
+    return pts
+
+
 def _scan_report(phi, max_ext):
     """fixed_points with the exhaustive scan in place of Galois descent."""
     with pytest.MonkeyPatch.context() as m:
         m.setattr(autocode, "_descent_points",
-                  lambda mhat, level, notes: autocode._antilinear_points(mhat, level))
+                  lambda mhat, level, notes: _antilinear_points(mhat, level))
         return fixed_points(phi, max_ext=max_ext).to_json()
 
 

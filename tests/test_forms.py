@@ -29,7 +29,7 @@ from exactqt import (
     rank,
     solve,
 )
-from exactqt import _gaussint, starfield
+from exactqt import _ffroots, _gaussint, starfield
 from exactqt._tower import tower_field
 from exactqt.errors import DimensionMismatch, FieldMismatch, Inconsistent, NonSquare
 from exactqt.sampling import (
@@ -363,6 +363,174 @@ def test_planted_spectrum_over_f_1009_squared():
     for p in dec.pairs:
         for v in p.basis:
             assert m @ v == v.scale(p.value)
+
+
+def test_characteristic_two_roots_split_over_an_f2_basis(monkeypatch):
+    """The trace splits take the shifts t^(k-1), ..., t^0 only, so roots in
+    a proper subfield cost at most k rounds of squarings."""
+    squarings = []
+    sqrmod = _ffroots._Ring.sqrmod
+    monkeypatch.setattr(_ffroots._Ring, "sqrmod",
+                        lambda ring, a, m: squarings.append(m) or sqrmod(ring, a, m))
+    for small, big, most in [(QuadExt(2, 3), QuadExt(2, 6), 200),
+                             (QuadExt(2, 2), QuadExt(2, 6), 200),
+                             (QuadExt(2, 1), QuadExt(2, 5), 19)]:
+        squarings.clear()
+        roots = Polynomial(big, small.modulus).roots()
+        assert len(roots) == small.degree
+        assert all(Polynomial(big, small.modulus).evaluate(r).is_zero() for r in roots)
+        assert len(squarings) <= most
+
+
+def test_polynomial_operands_must_share_a_field():
+    f9, f3 = QuadExt(3, 1), PrimeField(3)
+    ops = [lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b,
+           lambda a, b: a % b, lambda a, b: a.exact_div(b), lambda a, b: a.gcd(b)]
+    for left, right in itertools.product([Polynomial(f9, []), Polynomial(f9, ["t", 1])],
+                                         [Polynomial(f3, []), Polynomial(f3, [1, 1])]):
+        for op in ops:
+            with pytest.raises(FieldMismatch):
+                op(left, right)
+            with pytest.raises(FieldMismatch):
+                op(right, left)
+
+
+# The Element-level polynomial arithmetic and Bareiss char_poly that
+# Polynomial and char_poly used before they ran on _ffroots._Ring: the
+# oracle for the payload ring.
+
+def _ref_add(a: Polynomial, b: Polynomial) -> Polynomial:
+    x, y = a.coeffs, b.coeffs
+    if len(x) < len(y):
+        x, y = y, x
+    out = list(x)
+    for k, c in enumerate(y):
+        out[k] = out[k] + c
+    return Polynomial(a.owner, out)
+
+
+def _ref_neg(a: Polynomial) -> Polynomial:
+    return Polynomial(a.owner, [-c for c in a.coeffs])
+
+
+def _ref_mul(a: Polynomial, b: Polynomial) -> Polynomial:
+    if a.is_zero() or b.is_zero():
+        return Polynomial(a.owner, [])
+    out = [a.owner.zero()] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        if x.is_zero():
+            continue
+        for j, y in enumerate(b.coeffs):
+            out[i + j] = out[i + j] + x * y
+    return Polynomial(a.owner, out)
+
+
+def _ref_long_division(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial]:
+    if b.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(a.coeffs)
+    lead_inv = b.coeffs[-1].inverse()
+    qlen = max(len(rem) - len(b.coeffs) + 1, 0)
+    quot = [a.owner.zero()] * qlen
+    for i in range(qlen - 1, -1, -1):
+        c = quot[i] = rem[i + len(b.coeffs) - 1] * lead_inv
+        if not c.is_zero():
+            for j, y in enumerate(b.coeffs):
+                rem[i + j] = rem[i + j] - c * y
+    return Polynomial(a.owner, quot), Polynomial(a.owner, rem)
+
+
+def _ref_exact_div(a: Polynomial, b: Polynomial) -> Polynomial:
+    quot, rem = _ref_long_division(a, b)
+    if not rem.is_zero():
+        raise ArithmeticError("division was not exact")
+    return quot
+
+
+def _ref_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    while not b.is_zero():
+        a, b = b, _ref_long_division(a, b)[1]
+    if a.is_zero():
+        return a
+    lead_inv = a.coeffs[-1].inverse()
+    return Polynomial(a.owner, [c * lead_inv for c in a.coeffs])
+
+
+def _ref_char_poly(m: Matrix) -> Polynomial:
+    f, n = m.owner, m.rows
+    work = [[Polynomial(f, [-m.entry(i, j)] + ([f.one()] if i == j else []))
+             for j in range(n)] for i in range(n)]
+    sign = 1
+    prev = Polynomial.constant(f, 1)
+    for k in range(n - 1):
+        if work[k][k].is_zero():
+            pivot_row = next(i for i in range(k + 1, n) if not work[i][k].is_zero())
+            work[k], work[pivot_row] = work[pivot_row], work[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = _ref_add(_ref_mul(work[k][k], work[i][j]),
+                               _ref_neg(_ref_mul(work[i][k], work[k][j])))
+                work[i][j] = _ref_exact_div(num, prev)
+            work[i][k] = Polynomial(f, [])
+        prev = work[k][k]
+    det = work[n - 1][n - 1]
+    return _ref_neg(det) if sign < 0 else det
+
+
+RING_FIELDS = [PrimeField(2), PrimeField(7), QuadExt(2, 2), QuadExt(5, 1), tower_field(3, 3), QI]
+
+
+def _ring_elements(field):
+    """Elements of field, zero one time in three."""
+    if field.is_finite:
+        some = st.lists(st.integers(0, field.p - 1), min_size=field.degree,
+                        max_size=field.degree).map(lambda c: field.element(tuple(c)))
+    else:
+        some = st.builds(lambda a, b, d: field.element((a, b, d)), st.integers(-4, 4),
+                         st.integers(-4, 4), st.integers(1, 3))
+    return st.one_of(st.just(field.zero()), some, some)
+
+
+@pytest.mark.parametrize("field", RING_FIELDS, ids=str)
+@given(data=st.data())
+def test_polynomial_arithmetic_matches_element_oracle(field, data):
+    polys = st.lists(_ring_elements(field), max_size=5).map(lambda c: Polynomial(field, c))
+    a, b = data.draw(polys), data.draw(polys)
+    assert a + b == _ref_add(a, b)
+    assert a - b == _ref_add(a, _ref_neg(b))
+    assert -a == _ref_neg(a)
+    assert a * b == _ref_mul(a, b)
+    assert a.gcd(b) == _ref_gcd(a, b)
+    if b.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            a % b
+        with pytest.raises(ZeroDivisionError):
+            a.exact_div(b)
+        return
+    quot, rem = _ref_long_division(a, b)
+    assert a % b == rem
+    assert (a * b).exact_div(b) == a
+    if rem.is_zero():
+        assert a.exact_div(b) == quot
+    else:
+        with pytest.raises(ArithmeticError):
+            a.exact_div(b)
+
+
+@pytest.mark.parametrize("field", RING_FIELDS, ids=str)
+@settings(max_examples=30)
+@given(data=st.data())
+def test_char_poly_matches_element_bareiss(field, data):
+    n = data.draw(st.integers(1, 4))
+    rows = data.draw(st.lists(st.lists(_ring_elements(field), min_size=n, max_size=n),
+                              min_size=n, max_size=n))
+    if n > 1 and data.draw(st.booleans()):  # singular: the last row a multiple of the first
+        c = data.draw(_ring_elements(field))
+        rows[-1] = [c * x for x in rows[0]]
+    m = Matrix(field, rows)
+    assert char_poly(m) == _ref_char_poly(m)
+
 
 def _divisor_roots(poly: Polynomial) -> list:
     """The Q(i) roots of poly by exhaustive search: after scaling mu = D*x to
