@@ -4,6 +4,14 @@ The standard sesquilinear form conjugates the first argument:
 <x, y> = sum over k of involute(x_k) * y_k.  Everything downstream
 (adjoints, unitarity, Born weights) is phrased against this convention.
 
+The linear algebra runs on payloads: products, herm_form, the row
+reduction behind rank, null_space and solve, and the entrywise operations
+loop over raw payloads with the field's payload_* methods bound once per
+call, and wrap only their results in Elements (through the private
+_of_payloads constructors, which skip coercion).  So no step makes an
+Element or repeats a field check, and on finite fields with log tables
+every step is a table lookup (see starfield).
+
 Polynomial arithmetic and char_poly compute on payload lists in
 _ffroots._Ring, the one polynomial ring for every field, Q(i) included;
 Polynomial wraps its results in Elements.  char_poly runs a fraction-free
@@ -30,6 +38,21 @@ from .errors import DimensionMismatch, FieldMismatch, Inconsistent, NonSquare
 from .starfield import Element, FieldDescriptor, GaussianRationals
 
 
+def _require(value, kinds, what: str) -> None:
+    """TypeError, worded like Element._check's, unless value is one of kinds."""
+    if not isinstance(value, kinds):
+        raise TypeError(f"expected {what}, got {type(value).__name__}")
+
+
+def _scalar_payload(owner: FieldDescriptor, c: Element):
+    """The payload of a scalar for owner's vectors or matrices, refused with
+    the errors Element arithmetic raises for a non-Element or another field."""
+    _require(c, Element, "an Element")
+    if c.owner is not owner and c.owner != owner:
+        raise FieldMismatch(f"{c.owner.shorthand()} vs {owner.shorthand()}")
+    return c.payload
+
+
 class StateVector:
     """A column of field elements; states are nonzero but the type allows 0."""
 
@@ -41,39 +64,61 @@ class StateVector:
         self.owner = owner
         self.entries = tuple(owner.element(v) for v in entries)
 
+    @classmethod
+    def _of_payloads(cls, owner: FieldDescriptor, payloads) -> StateVector:
+        """The vector of owner's payloads, wrapped without coercion."""
+        v = cls.__new__(cls)
+        v.owner = owner
+        v.entries = tuple([Element(owner, a) for a in payloads])
+        return v
+
     @property
     def dim(self) -> int:
         return len(self.entries)
 
     @classmethod
     def basis_vector(cls, owner: FieldDescriptor, dim: int, k: int) -> StateVector:
+        if not 0 <= k < dim:
+            raise DimensionMismatch(f"basis index {k} outside 0..{dim - 1}")
         return cls(owner, [1 if j == k else 0 for j in range(dim)])
 
+    def _payloads(self) -> list:
+        return [a.payload for a in self.entries]
+
     def _check(self, other: StateVector) -> None:
-        if self.owner != other.owner:
+        _require(other, StateVector, "a StateVector")
+        if self.owner is not other.owner and self.owner != other.owner:
             raise FieldMismatch("vectors live in different fields")
         if self.dim != other.dim:
             raise DimensionMismatch(f"{self.dim} vs {other.dim}")
 
     def __add__(self, other: StateVector) -> StateVector:
         self._check(other)
-        return StateVector(self.owner, [a + b for a, b in zip(self.entries, other.entries)])
+        add = self.owner.payload_add
+        return StateVector._of_payloads(self.owner, [
+            add(a.payload, b.payload) for a, b in zip(self.entries, other.entries)])
 
     def __sub__(self, other: StateVector) -> StateVector:
         self._check(other)
-        return StateVector(self.owner, [a - b for a, b in zip(self.entries, other.entries)])
+        sub = self.owner.payload_sub
+        return StateVector._of_payloads(self.owner, [
+            sub(a.payload, b.payload) for a, b in zip(self.entries, other.entries)])
 
     def __neg__(self) -> StateVector:
-        return StateVector(self.owner, [-a for a in self.entries])
+        neg = self.owner.payload_neg
+        return StateVector._of_payloads(self.owner, [neg(a.payload) for a in self.entries])
 
     def scale(self, c: Element) -> StateVector:
-        return StateVector(self.owner, [c * a for a in self.entries])
+        mul, c = self.owner.payload_mul, _scalar_payload(self.owner, c)
+        return StateVector._of_payloads(self.owner, [mul(c, a.payload) for a in self.entries])
 
     def conj(self) -> StateVector:
-        return StateVector(self.owner, [a.conj() for a in self.entries])
+        involute = self.owner.payload_involute
+        return StateVector._of_payloads(self.owner, [involute(a.payload) for a in self.entries])
 
     def is_zero(self) -> bool:
-        return all(a.is_zero() for a in self.entries)
+        zero = self.owner.zero_payload
+        return all(a.payload == zero for a in self.entries)
 
     def sort_key(self):
         return tuple(a.sort_key() for a in self.entries)
@@ -88,10 +133,11 @@ class StateVector:
         return self.entries[k]
 
     def __eq__(self, other) -> bool:
+        # entries of one vector share its field, so payloads decide
         return (
             isinstance(other, StateVector)
             and self.owner == other.owner
-            and self.entries == other.entries
+            and self._payloads() == other._payloads()
         )
 
     def __hash__(self) -> int:
@@ -116,6 +162,15 @@ class Matrix:
         self.entries = tuple(tuple(owner.element(v) for v in r) for r in rows)
 
     @classmethod
+    def _of_payloads(cls, owner: FieldDescriptor, rows) -> Matrix:
+        """The matrix of rows of owner's payloads, wrapped without coercion."""
+        m = cls.__new__(cls)
+        m.owner = owner
+        m.entries = tuple([tuple([Element(owner, a) for a in r]) for r in rows])
+        m.rows, m.cols = len(m.entries), len(m.entries[0])
+        return m
+
+    @classmethod
     def identity(cls, owner: FieldDescriptor, n: int) -> Matrix:
         return cls(owner, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
@@ -131,7 +186,11 @@ class Matrix:
 
     @classmethod
     def from_columns(cls, owner: FieldDescriptor, columns: Sequence[StateVector]) -> Matrix:
+        if not columns:
+            raise DimensionMismatch("matrices need at least one column")
         dim = columns[0].dim
+        if any(col.dim != dim for col in columns):
+            raise DimensionMismatch("columns of different dimensions")
         return cls(owner, [[col[i] for col in columns] for i in range(dim)])
 
     def entry(self, i: int, j: int) -> Element:
@@ -143,45 +202,62 @@ class Matrix:
     def column(self, j: int) -> StateVector:
         return StateVector(self.owner, [r[j] for r in self.entries])
 
+    def _payload_rows(self) -> list[list]:
+        """The entries' payloads, as fresh row lists."""
+        return [[a.payload for a in r] for r in self.entries]
+
     def _check_field(self, other) -> None:
-        if self.owner != other.owner:
+        if self.owner is not other.owner and self.owner != other.owner:
             raise FieldMismatch("operands live in different fields")
 
-    def __add__(self, other: Matrix) -> Matrix:
+    def _entrywise(self, op, other: Matrix) -> Matrix:
+        """op on the payloads of equal-shaped self and other, entry by entry."""
+        _require(other, Matrix, "a Matrix")
         self._check_field(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("matrix shapes differ")
-        return Matrix(self.owner, [[a + b for a, b in zip(r1, r2)]
-                                   for r1, r2 in zip(self.entries, other.entries)])
+        return Matrix._of_payloads(self.owner, [[op(a.payload, b.payload) for a, b in zip(r1, r2)]
+                                                for r1, r2 in zip(self.entries, other.entries)])
+
+    def __add__(self, other: Matrix) -> Matrix:
+        return self._entrywise(self.owner.payload_add, other)
 
     def __sub__(self, other: Matrix) -> Matrix:
-        return self + (-other)
+        return self._entrywise(self.owner.payload_sub, other)
 
     def __neg__(self) -> Matrix:
-        return Matrix(self.owner, [[-a for a in r] for r in self.entries])
+        neg = self.owner.payload_neg
+        return Matrix._of_payloads(self.owner, [[neg(a.payload) for a in r] for r in self.entries])
 
     def scale(self, c: Element) -> Matrix:
-        return Matrix(self.owner, [[c * a for a in r] for r in self.entries])
+        mul, c = self.owner.payload_mul, _scalar_payload(self.owner, c)
+        return Matrix._of_payloads(self.owner, [[mul(c, a.payload) for a in r]
+                                                for r in self.entries])
 
     def __matmul__(self, other):
+        _require(other, (Matrix, StateVector), "a Matrix or StateVector")
         self._check_field(other)
+        f = self.owner
+        add, mul, zero = f.payload_add, f.payload_mul, f.zero_payload
+        rows = self._payload_rows()
         if isinstance(other, StateVector):
             if self.cols != other.dim:
                 raise DimensionMismatch(f"{self.cols} columns vs dim {other.dim}")
-            return StateVector(self.owner, [
-                _dot(row, other.entries, self.owner) for row in self.entries])
+            v = other._payloads()
+            return StateVector._of_payloads(f, [_dot(row, v, add, mul, zero) for row in rows])
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.cols} columns vs {other.rows} rows")
-        cols = [tuple(other.entries[k][j] for k in range(other.rows)) for j in range(other.cols)]
-        return Matrix(self.owner, [[_dot(row, col, self.owner) for col in cols]
-                                   for row in self.entries])
+        cols = list(zip(*other._payload_rows()))
+        return Matrix._of_payloads(f, [[_dot(row, col, add, mul, zero) for col in cols]
+                                       for row in rows])
 
     def transpose(self) -> Matrix:
-        return Matrix(self.owner, [[self.entries[i][j] for i in range(self.rows)]
-                                   for j in range(self.cols)])
+        return Matrix._of_payloads(self.owner, zip(*self._payload_rows()))
 
     def conj_entrywise(self) -> Matrix:
-        return Matrix(self.owner, [[a.conj() for a in r] for r in self.entries])
+        involute = self.owner.payload_involute
+        return Matrix._of_payloads(self.owner, [[involute(a.payload) for a in r]
+                                                for r in self.entries])
 
     def map_entries(self, fn: Callable[[Element], Element], owner: FieldDescriptor | None = None) -> Matrix:
         return Matrix(owner or self.owner, [[fn(a) for a in r] for r in self.entries])
@@ -190,10 +266,11 @@ class Matrix:
         return self.rows == self.cols
 
     def __eq__(self, other) -> bool:
+        # entries of one matrix share its field, so payloads decide
         return (
             isinstance(other, Matrix)
             and self.owner == other.owner
-            and self.entries == other.entries
+            and self._payload_rows() == other._payload_rows()
         )
 
     def __hash__(self) -> int:
@@ -203,20 +280,21 @@ class Matrix:
         return "[" + "; ".join(", ".join(str(a) for a in r) for r in self.entries) + "]"
 
 
-def _dot(xs, ys, owner) -> Element:
-    acc = owner.zero()
+def _dot(xs, ys, add, mul, acc):
+    """acc plus the sum of x*y over paired payloads xs, ys."""
     for a, b in zip(xs, ys):
-        acc = acc + a * b
+        acc = add(acc, mul(a, b))
     return acc
 
 
 def herm_form(x: StateVector, y: StateVector) -> Element:
     """<x, y> with the involution applied to the first argument."""
+    _require(x, StateVector, "a StateVector")
     x._check(y)
-    acc = x.owner.zero()
-    for a, b in zip(x.entries, y.entries):
-        acc = acc + a.conj() * b
-    return acc
+    f = x.owner
+    involute = f.payload_involute
+    return Element(f, _dot([involute(a.payload) for a in x.entries], y._payloads(),
+                           f.payload_add, f.payload_mul, f.zero_payload))
 
 
 def conj_transpose(m: Matrix) -> Matrix:
@@ -398,23 +476,31 @@ def char_poly(m: Matrix) -> Polynomial:
     return Polynomial._of_payloads(m.owner, det)
 
 
-def _rref(rows: list[list[Element]], field: FieldDescriptor) -> tuple[list[list[Element]], list[int]]:
-    """Reduced row echelon form with first-nonzero pivoting (deterministic)."""
+def _rref(rows: list[list], field: FieldDescriptor) -> tuple[list[list], list[int]]:
+    """Reduced row echelon form of payload rows, in place, with first-nonzero
+    pivoting (deterministic).
+
+    Left of a pivot, the pivot row is zero (earlier pivot columns are
+    cleared, and skipped columns are zero from the pivot row down), so each
+    row operation starts at the pivot column.
+    """
+    add, mul, neg, inv = field.payload_add, field.payload_mul, field.payload_neg, field.payload_inv
+    zero = field.zero_payload
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if not rows[i][c].is_zero()), None)
+        pivot_row = next((i for i in range(r, nrows) if rows[i][c] != zero), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [inv * v for v in rows[r]]
-        for i in range(nrows):
-            if i != r and not rows[i][c].is_zero():
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        scale = inv(rows[r][c])
+        top = rows[r][c:] = [mul(scale, v) for v in rows[r][c:]]
+        for i, row in enumerate(rows):
+            if i != r and row[c] != zero:
+                factor = neg(row[c])
+                row[c:] = [add(a, mul(factor, b)) for a, b in zip(row[c:], top)]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -423,40 +509,42 @@ def _rref(rows: list[list[Element]], field: FieldDescriptor) -> tuple[list[list[
 
 
 def rank(m: Matrix) -> int:
-    rows = [list(r) for r in m.entries]
-    return len(_rref(rows, m.owner)[1])
+    return len(_rref(m._payload_rows(), m.owner)[1])
 
 
 def null_space(m: Matrix) -> list[StateVector]:
     """Deterministic kernel basis: one vector per free column, in column order."""
-    rows = [list(r) for r in m.entries]
-    rref, pivots = _rref(rows, m.owner)
     f = m.owner
-    free = [c for c in range(m.cols) if c not in pivots]
+    rref, pivots = _rref(m._payload_rows(), f)
+    neg, zero, one = f.payload_neg, f.zero_payload, f.payload_from_int(1)
     basis = []
-    for fc in free:
-        v = [f.zero()] * m.cols
-        v[fc] = f.one()
-        for r_idx, pc in enumerate(pivots):
-            v[pc] = -rref[r_idx][fc]
-        basis.append(StateVector(f, v))
+    for fc in range(m.cols):
+        if fc in pivots:
+            continue
+        v = [zero] * m.cols
+        v[fc] = one
+        for row, pc in zip(rref, pivots):
+            v[pc] = neg(row[fc])
+        basis.append(StateVector._of_payloads(f, v))
     return basis
 
 
 def solve(m: Matrix, b: StateVector) -> StateVector:
     """One exact solution of m x = b (free variables set to zero)."""
+    _require(b, StateVector, "a StateVector")
     m._check_field(b)
     if m.rows != b.dim:
         raise DimensionMismatch(f"{m.rows} rows vs dim {b.dim}")
-    rows = [list(r) + [b[i]] for i, r in enumerate(m.entries)]
+    rows = m._payload_rows()
+    for row, x in zip(rows, b.entries):
+        row.append(x.payload)
     rref, pivots = _rref(rows, m.owner)
     if m.cols in pivots:
         raise Inconsistent("linear system has no solution")
-    f = m.owner
-    x = [f.zero()] * m.cols
-    for r_idx, pc in enumerate(pivots):
-        x[pc] = rref[r_idx][m.cols]
-    return StateVector(f, x)
+    x = [m.owner.zero_payload] * m.cols
+    for row, pc in zip(rref, pivots):
+        x[pc] = row[m.cols]
+    return StateVector._of_payloads(m.owner, x)
 
 
 @dataclass(frozen=True)

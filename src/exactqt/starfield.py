@@ -17,19 +17,23 @@ Frobenius involution; each keeps elements = FpQuotientField.elements in its
 own body only because perfbench/spans.py wraps that entry per class.
 
 That arithmetic has two routes to the same answers.  The polynomial route
-(_fppoly's mulmod, invmod and powmod on coefficient tuples) always works.
-The table route is a cache in front of it: a discrete-log table and an
-antilog table against a primitive element g, so that x*y = g^(log x +
-log y), 1/x = g^(-log x) and x^q = g^(q log x) are two lookups each
-(the discrete-log representation; Lidl and Niederreiter, Finite Fields,
-ch. 9).  Tables
-are shared by every descriptor with the same p and modulus, and are built
-only for fields of at most _TABLE_CAP elements, once that p and modulus
-has done as many polynomial-route products, inverses and conjugations as
-the field has elements.  The build (about that many products again) thus
-never costs more than work already done, and short-lived fields never pay
-for it.  Payloads stay padded coefficient tuples on both routes, so
-element order, text and every output are the same whichever route runs.
+(_fppoly's mulmod, invmod and powmod on coefficient tuples, and
+coefficientwise sums mod p) always works.  The table route is a cache in
+front of it: a discrete-log table and an antilog table against a primitive
+element g, so that x*y = g^(log x + log y), 1/x = g^(-log x) and x^q =
+g^(q log x) are two lookups each (the discrete-log representation; Lidl
+and Niederreiter, Finite Fields, ch. 9).  Sums, differences and negation
+take the same tables plus a Zech-logarithm table zech[k] = log(1 + g^k):
+g^i + g^j = g^(i + zech[j - i]), and -x = g^(log x + (Q - 1)/2) for odd
+p (negation is the identity when p = 2).  Tables are shared by every
+descriptor with the same p and modulus, and are built only for fields of
+at most _TABLE_CAP elements, once that p and modulus has done as many
+polynomial-route products, inverses and conjugations as the field has
+elements.  The build (about that many products again) thus never costs
+more than work already done, and short-lived fields never pay for it.
+Sums never charge toward the build.  Payloads stay padded coefficient
+tuples on both routes, so element order, text and every output are the
+same whichever route runs.
 
 Q(i) elements are integer triples (a, b, d) meaning (a + bi)/d, reduced
 so that d > 0 and gcd(a, b, d) = 1: one gcd per result instead of one per
@@ -175,9 +179,6 @@ class FieldDescriptor:
     def elements(self) -> Iterator[Element]:
         raise FieldNotFinite(f"{self.shorthand()} is not finite")
 
-    def payload_sub(self, a, b):
-        return self.payload_add(a, self.payload_neg(b))
-
     def payload_canonical(self, raw):
         raise TypeError(f"cannot interpret {raw!r} as an element of {self.shorthand()}")
 
@@ -217,10 +218,14 @@ class _LogTables:
     _TABLE_CAP.  exp[k] is the padded payload of g^k for 0 <= k < 2(order -
     1), so a sum of two logs indexes it without a reduction; log maps each
     payload to its discrete log, and zero to -order, which keeps every sum
-    involving zero negative.
+    involving zero negative.  zech[k] is the Zech logarithm log(1 + g^k),
+    or None where 1 + g^k = 0, for 0 <= k < order - 1; a difference of two
+    logs in (-(order - 1), order - 1) indexes it directly, since a negative
+    list index wraps modulo its length.  log_neg_one is log(-1): (order -
+    1) / 2 for odd p, and 0 for p = 2, where -1 = 1.
     """
 
-    __slots__ = ("p", "modulus", "order", "zero", "budget", "log", "exp")
+    __slots__ = ("p", "modulus", "order", "zero", "budget", "log", "exp", "zech", "log_neg_one")
 
     def __init__(self, p: int, modulus: tuple[int, ...]):
         self.p = p
@@ -230,6 +235,8 @@ class _LogTables:
         self.budget = self.order if self.order <= _TABLE_CAP else -1
         self.log: dict[tuple[int, ...], int] | None = None
         self.exp: list[tuple[int, ...]] | None = None
+        self.zech: list[int | None] | None = None
+        self.log_neg_one = (self.order - 1) // 2 if p != 2 else 0
 
     def charge(self) -> None:
         """Count one polynomial-route operation; build when they have paid for it."""
@@ -250,6 +257,9 @@ class _LogTables:
             x = _fppoly.mulmod(g, x, m, p)
         log = {a: k for k, a in enumerate(exp)}
         log[self.zero] = -self.order
+        # 1 + g^k adds 1 to the constant coefficient; log maps zero below 0
+        zech = [log[((x[0] + 1) % p,) + x[1:]] for x in exp]
+        self.zech = [z if z >= 0 else None for z in zech]
         self.exp = exp + exp
         self.log = log
 
@@ -302,12 +312,46 @@ class FpQuotientField(FieldDescriptor):
         return super().payload_canonical(raw)
 
     def payload_add(self, a, b):
-        p = self.p
-        return tuple([(x + y) % p for x, y in zip(a, b)])
+        tables = self._tables
+        log = tables.log
+        if log is None:
+            p = self.p
+            return tuple([(x + y) % p for x, y in zip(a, b)])
+        i = log[a]
+        if i < 0:
+            return b
+        j = log[b]
+        if j < 0:
+            return a
+        z = tables.zech[j - i]
+        return tables.exp[i + z] if z is not None else tables.zero
+
+    def payload_sub(self, a, b):
+        tables = self._tables
+        log = tables.log
+        if log is None:
+            p = self.p
+            return tuple([(x - y) % p for x, y in zip(a, b)])
+        j = log[b]
+        if j < 0:
+            return a
+        j += tables.log_neg_one  # log(-b)
+        i = log[a]
+        if i < 0:
+            return tables.exp[j]
+        z = tables.zech[(j - i) % (self.order - 1)]
+        return tables.exp[i + z] if z is not None else tables.zero
 
     def payload_neg(self, a):
         p = self.p
-        return tuple([-x % p for x in a])
+        if p == 2:
+            return a
+        tables = self._tables
+        log = tables.log
+        if log is None:
+            return tuple([-x % p for x in a])
+        k = log[a]
+        return tables.exp[k + tables.log_neg_one] if k >= 0 else a
 
     def payload_mul(self, a, b):
         tables = self._tables

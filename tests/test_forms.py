@@ -1,5 +1,6 @@
 """Hermitian forms, exact linear algebra, and the eigen kernel."""
 
+import copy
 import functools
 import itertools
 import math
@@ -677,3 +678,215 @@ def test_gaussian_form_uses_fractions():
     total = herm_form(v, v)
     a, _, d = v.owner.element(str(total)).payload
     assert Fraction(a, d) == Fraction(9, 4) + 1 + Fraction(1, 9)
+
+
+def test_basis_vector_index_must_lie_in_range():
+    assert list(StateVector.basis_vector(F9, 2, 1)) == [F9.zero(), F9.one()]
+    for k in (2, 5, -1):
+        with pytest.raises(DimensionMismatch):
+            StateVector.basis_vector(F9, 2, k)
+
+
+def test_from_columns_needs_columns_of_one_dimension():
+    with pytest.raises(DimensionMismatch):
+        Matrix.from_columns(F9, [])
+    with pytest.raises(DimensionMismatch):
+        Matrix.from_columns(F9, [StateVector(F9, ["1", "t"]), StateVector(F9, ["1"])])
+
+
+def test_operands_of_the_wrong_type_raise_type_error():
+    m, v = Matrix.identity(F9, 2), StateVector(F9, ["1", "t"])
+    with pytest.raises(TypeError, match="expected a Matrix or StateVector, got int"):
+        m @ 3
+    with pytest.raises(TypeError, match="expected a Matrix, got int"):
+        m + 1
+    with pytest.raises(TypeError, match="expected a Matrix, got int"):
+        m - 1
+    with pytest.raises(TypeError, match="expected a StateVector, got int"):
+        herm_form(v, 3)
+    with pytest.raises(TypeError, match="expected a StateVector, got int"):
+        herm_form(3, v)
+    with pytest.raises(TypeError, match="expected an Element, got int"):
+        v.scale(3)
+
+
+# The Element-level products, Hermitian form and row reduction that forms
+# used before its loops ran on payloads: the oracle for those loops.
+
+def _ref_dot(xs, ys, owner):
+    acc = owner.zero()
+    for a, b in zip(xs, ys):
+        acc = acc + a * b
+    return acc
+
+
+def _ref_herm_form(x: StateVector, y: StateVector):
+    acc = x.owner.zero()
+    for a, b in zip(x.entries, y.entries):
+        acc = acc + a.conj() * b
+    return acc
+
+
+def _ref_matmul(m: Matrix, other):
+    if isinstance(other, StateVector):
+        return StateVector(m.owner, [_ref_dot(row, other.entries, m.owner) for row in m.entries])
+    cols = [tuple(other.entries[k][j] for k in range(other.rows)) for j in range(other.cols)]
+    return Matrix(m.owner, [[_ref_dot(row, col, m.owner) for col in cols] for row in m.entries])
+
+
+def _ref_rref(rows, field):
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, nrows) if not rows[i][c].is_zero()), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [inv * v for v in rows[r]]
+        for i in range(nrows):
+            if i != r and not rows[i][c].is_zero():
+                factor = rows[i][c]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots
+
+
+def _ref_null_space(m: Matrix):
+    rref, pivots = _ref_rref([list(r) for r in m.entries], m.owner)
+    f = m.owner
+    basis = []
+    for fc in (c for c in range(m.cols) if c not in pivots):
+        v = [f.zero()] * m.cols
+        v[fc] = f.one()
+        for r_idx, pc in enumerate(pivots):
+            v[pc] = -rref[r_idx][fc]
+        basis.append(StateVector(f, v))
+    return basis
+
+
+def _ref_solve(m: Matrix, b: StateVector):
+    rows = [list(r) + [b[i]] for i, r in enumerate(m.entries)]
+    rref, pivots = _ref_rref(rows, m.owner)
+    if m.cols in pivots:
+        raise Inconsistent("linear system has no solution")
+    f = m.owner
+    x = [f.zero()] * m.cols
+    for r_idx, pc in enumerate(pivots):
+        x[pc] = rref[r_idx][m.cols]
+    return StateVector(f, x)
+
+
+def _one_route(field, tabled: bool):
+    """An equal descriptor whose finite-field arithmetic takes one route only:
+    through freshly built log tables, or through _fppoly with no build."""
+    twin = copy.copy(field)
+    twin._tables = starfield._LogTables(field.p, field.modulus)
+    if tabled:
+        twin._tables._build()
+    else:
+        twin._tables.budget = -1
+    return twin
+
+
+ORACLE_FIELDS = [PrimeField(2), PrimeField(7), QuadExt(2, 2), QuadExt(3, 1), QuadExt(5, 2),
+                 tower_field(3, 3)]
+ORACLE_CASES = [pytest.param(_one_route(f, tabled), id=f"{f}-{'table' if tabled else 'poly'}")
+                for f in ORACLE_FIELDS for tabled in (True, False)] + [pytest.param(QI, id="gaussian")]
+
+
+@st.composite
+def _oracle_matrices(draw, field, rows=None):
+    """Random, zero, singular (last row a multiple of the first) or
+    pivot-swapping (a zero top-left entry) matrices of up to 4 x 4."""
+    n_rows = rows or draw(st.integers(1, 4))
+    n_cols = draw(st.integers(1, 4))
+    entries = draw(st.lists(st.lists(_ring_elements(field), min_size=n_cols, max_size=n_cols),
+                            min_size=n_rows, max_size=n_rows))
+    kind = draw(st.sampled_from(["random", "zero", "singular", "swap"]))
+    if kind == "zero":
+        entries = [[field.zero()] * n_cols for _ in range(n_rows)]
+    elif kind == "singular" and n_rows > 1:
+        c = draw(_ring_elements(field))
+        entries[-1] = [c * x for x in entries[0]]
+    elif kind == "swap":
+        entries[0][0] = field.zero()
+    return Matrix(field, entries)
+
+
+def _oracle_vectors(field, dim):
+    return st.lists(_ring_elements(field), min_size=dim, max_size=dim).map(
+        lambda c: StateVector(field, c))
+
+
+@pytest.mark.parametrize("field", ORACLE_CASES)
+@given(data=st.data())
+def test_payload_linear_algebra_matches_element_oracle(field, data):
+    m = data.draw(_oracle_matrices(field))
+    n = data.draw(_oracle_matrices(field, rows=m.cols))
+    v, w = data.draw(_oracle_vectors(field, m.cols)), data.draw(_oracle_vectors(field, m.cols))
+    c = data.draw(_ring_elements(field))
+    assert (m @ n).entries == _ref_matmul(m, n).entries
+    assert (m @ v).entries == _ref_matmul(m, v).entries
+    assert herm_form(v, w) == _ref_herm_form(v, w)
+    assert (v + w).entries == tuple(a + b for a, b in zip(v, w))
+    assert (v - w).entries == tuple(a - b for a, b in zip(v, w))
+    assert v.scale(c).entries == tuple(c * a for a in v)
+    assert m.transpose().entries == tuple(zip(*m.entries))
+    assert conj_transpose(m).entries == tuple(zip(*[[a.conj() for a in r] for r in m.entries]))
+    assert (m - m.scale(c)).entries == tuple(tuple(a - c * a for a in r) for r in m.entries)
+    assert (m + -m.scale(c)).entries == (m - m.scale(c)).entries
+    assert rank(m) == len(_ref_rref([list(r) for r in m.entries], field)[1])
+    assert [k.entries for k in null_space(m)] == [k.entries for k in _ref_null_space(m)]
+    # b in m's column space, or drawn freely (inconsistent when m is zero)
+    b = m @ v if data.draw(st.booleans()) else data.draw(_oracle_vectors(field, m.rows))
+    try:
+        expected = _ref_solve(m, b)
+    except Inconsistent:
+        with pytest.raises(Inconsistent):
+            solve(m, b)
+    else:
+        assert solve(m, b).entries == expected.entries
+
+
+def _entry_count(result) -> int:
+    if isinstance(result, list):
+        return sum(map(_entry_count, result))
+    if isinstance(result, Matrix):
+        return result.rows * result.cols
+    return len(result) if isinstance(result, StateVector) else 1
+
+
+@pytest.mark.parametrize("field", [PrimeField(7), QuadExt(3, 1), QuadExt(5, 2), QI], ids=str)
+def test_linear_algebra_builds_no_element_beyond_its_result(monkeypatch, field):
+    """Guards the payload loops: null_space, solve, @ and herm_form make an
+    Element for each entry of their result and none per step."""
+    rng = random.Random(41)
+    m = random_matrix(rng, field, 4, 4)
+    singular = Matrix(field, list(m.entries[:3]) + [m.entries[0]])
+    v, w = random_state(rng, field, 4), random_state(rng, field, 4)
+    calls = {
+        "null_space": lambda: null_space(singular),
+        "solve": lambda: solve(m, v),
+        "matrix @ matrix": lambda: m @ singular,
+        "matrix @ vector": lambda: m @ v,
+        "herm_form": lambda: herm_form(v, w),
+    }
+    built = []
+    init = starfield.Element.__init__
+
+    def counting_init(self, owner, payload):
+        built.append(payload)
+        init(self, owner, payload)
+
+    for name, call in calls.items():
+        built.clear()
+        monkeypatch.setattr(starfield.Element, "__init__", counting_init)
+        result = call()
+        monkeypatch.undo()
+        assert len(built) <= _entry_count(result), name

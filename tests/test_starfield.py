@@ -436,14 +436,20 @@ def warmed():
     return TABLED + ABOVE_CAP
 
 
+def _poly_sums(field, a, b):
+    """a + b, a - b and -a of payloads by _fppoly alone."""
+    p, pad, a0, b0 = field.p, field._pad, _fppoly.trim(a), _fppoly.trim(b)
+    return pad(_fppoly.add(a0, b0, p)), pad(_fppoly.sub(a0, b0, p)), pad(_fppoly.neg(a0, p))
+
+
 def _poly_route(field, a, b):
-    """Product, inverse and involution of payloads by _fppoly alone."""
+    """Product, inverse, involution and _poly_sums of payloads by _fppoly alone."""
     p, m, pad = field.p, field.modulus, field._pad
     a0, b0 = _fppoly.trim(a), _fppoly.trim(b)
     product = pad(_fppoly.mulmod(a0, b0, m, p))
     inverse = pad(_fppoly.invmod(a0, m, p)) if a0 else None
     image = pad(_fppoly.powmod(a0, field.q, m, p)) if isinstance(field, QuadExt) else a
-    return product, inverse, image
+    return product, inverse, image, _poly_sums(field, a, b)
 
 
 @given(st.data())
@@ -452,8 +458,9 @@ def test_table_route_matches_the_polynomial_route(warmed, data):
     assert (field._tables.log is None) == (field.order > starfield._TABLE_CAP)
     payloads = st.tuples(*[st.integers(0, field.p - 1)] * field.degree)
     x, y = field.element(data.draw(payloads)), field.element(data.draw(payloads))
-    product, inverse, image = _poly_route(field, x.payload, y.payload)
+    product, inverse, image, sums = _poly_route(field, x.payload, y.payload)
     assert (x * y).payload == product
+    assert ((x + y).payload, (x - y).payload, (-x).payload) == sums
     assert x.conj().payload == image
     if inverse is None:
         with pytest.raises(DivisionByZero):
@@ -507,3 +514,56 @@ def test_equal_descriptors_share_one_table(fresh_tables):
     assert second._tables.log is not None
     x = second.element("2+t^5")
     assert (x * x.inverse()).payload == second.one().payload
+
+
+# Sums, differences and negation on the table route go through Zech
+# logarithms; _fppoly's coefficientwise arithmetic is their oracle.
+ZECH_ALL_PAIRS = [PrimeField(2), QuadExt(2, 1), tower_field(2, 3), QuadExt(3, 1), QuadExt(5, 1)]
+ZECH_SEEDED = [QuadExt(5, 2), QuadExt(2, 4)]
+
+
+def _built(field):
+    """field, with the log tables of its p and modulus built now."""
+    tables = starfield._log_tables(field.p, field.modulus)
+    tables._build()
+    assert field._tables is tables and tables.zech is not None
+    return field
+
+
+@pytest.mark.parametrize("field", ZECH_ALL_PAIRS + ZECH_SEEDED, ids=str)
+def test_zech_sums_match_the_polynomial_route(field):
+    _built(field)
+    payloads = [x.payload for x in field.elements()]
+    if field in ZECH_SEEDED:
+        rng = random.Random(f"zech:{field}")
+        pairs = [(rng.choice(payloads), rng.choice(payloads)) for _ in range(4000)]
+    else:
+        pairs = itertools.product(payloads, repeat=2)
+    for a, b in pairs:
+        assert (field.payload_add(a, b), field.payload_sub(a, b),
+                field.payload_neg(a)) == _poly_sums(field, a, b), (a, b)
+
+
+@pytest.mark.parametrize("field", ZECH_ALL_PAIRS + ZECH_SEEDED, ids=str)
+def test_zech_sums_with_zero_and_opposite_operands(field):
+    _built(field)
+    zero = field.zero_payload
+    for x in field.elements():
+        a = x.payload
+        minus_a = field.payload_neg(a)
+        assert minus_a == _poly_sums(field, a, a)[2]
+        assert field.payload_add(a, zero) == field.payload_add(zero, a) == a
+        assert field.payload_sub(a, zero) == a and field.payload_sub(zero, a) == minus_a
+        assert field.payload_add(a, minus_a) == field.payload_sub(a, a) == zero
+        if field.p == 2:
+            assert field.payload_add(a, a) == zero and minus_a == a
+
+
+def test_sums_take_the_polynomial_route_and_build_no_table(fresh_tables):
+    field = QuadExt(3, 1)
+    xs = list(field.elements())
+    for x, y in itertools.product(xs, repeat=2):
+        assert (x + y).payload == _poly_sums(field, x.payload, y.payload)[0]
+        assert (x - y).payload == _poly_sums(field, x.payload, y.payload)[1]
+        assert (-x).payload == _poly_sums(field, x.payload, y.payload)[2]
+    assert field._tables.log is None
