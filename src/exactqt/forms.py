@@ -4,13 +4,16 @@ The standard sesquilinear form conjugates the first argument:
 <x, y> = sum over k of involute(x_k) * y_k.  Everything downstream
 (adjoints, unitarity, Born weights) is phrased against this convention.
 
-The linear algebra runs on payloads: products, herm_form, the row
-reduction behind rank, null_space and solve, and the entrywise operations
-loop over raw payloads with the field's payload_* methods bound once per
-call, and wrap only their results in Elements (through the private
-_of_payloads constructors, which skip coercion).  So no step makes an
-Element or repeats a field check, and on finite fields with log tables
-every step is a table lookup (see starfield).
+StateVector and Matrix store payloads, not Elements.  Their private base
+class _Payloads holds the owner field, the shape and a flat row-major
+tuple of the field's payloads, and the one copy of the entrywise
+operations, equality and hashing.  Every operation (the entrywise ones,
+products, herm_form, transpose, the row reduction behind rank, null_space
+and solve, identity, diagonal and from_columns) loops over payloads with
+the field's payload_* methods.  An Element is made only when an entry is
+read (entries, iteration, v[k], entry, row, column) or a scalar returned;
+the public constructors coerce outside input once.  On finite fields with
+log tables every step is a table lookup (see starfield).
 
 Polynomial arithmetic and char_poly compute on payload lists in
 _ffroots._Ring, the one polynomial ring for every field, Q(i) included;
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 from ._ffroots import _Ring, field_roots
@@ -44,111 +48,129 @@ def _require(value, kinds, what: str) -> None:
         raise TypeError(f"expected {what}, got {type(value).__name__}")
 
 
-def _scalar_payload(owner: FieldDescriptor, c: Element):
-    """The payload of a scalar for owner's vectors or matrices, refused with
-    the errors Element arithmetic raises for a non-Element or another field."""
-    _require(c, Element, "an Element")
-    if c.owner is not owner and c.owner != owner:
-        raise FieldMismatch(f"{c.owner.shorthand()} vs {owner.shorthand()}")
-    return c.payload
+def _coerce(owner: FieldDescriptor, value):
+    """owner's payload for value, coerced as FieldDescriptor.element does."""
+    if type(value) is Element and value.owner is owner:
+        return value.payload
+    return owner.element(value).payload
 
 
-class StateVector:
+def _check_index(what: str, k: int, n: int) -> None:
+    if not 0 <= k < n:
+        raise DimensionMismatch(f"{what} index {k} outside 0..{n - 1}")
+
+
+class _Payloads:
+    """Entries of one field as a flat row-major tuple of payloads.  _shape (a
+    vector's length, a matrix's (rows, cols)) must agree entrywise; each
+    subclass words its refusals in _mixed_fields and _shape_differs."""
+
+    __slots__ = ("owner", "_shape", "_data")
+
+    @classmethod
+    def _of(cls, owner: FieldDescriptor, shape, data: tuple):
+        new = cls.__new__(cls)
+        new.owner, new._shape, new._data = owner, shape, data
+        return new
+
+    def _same_field(self, other) -> None:
+        if self.owner is not other.owner and self.owner != other.owner:
+            raise FieldMismatch(self._mixed_fields)
+
+    def _check(self, other) -> None:
+        """Refuse other unless it has self's class, field and shape."""
+        _require(other, type(self), f"a {type(self).__name__}")
+        self._same_field(other)
+        if self._shape != other._shape:
+            raise DimensionMismatch(self._shape_differs.format(self._shape, other._shape))
+
+    def _map(self, op, *others):
+        """op over the payloads of self and of others, entry by entry."""
+        for other in others:
+            self._check(other)
+        data = tuple(map(op, self._data, *[other._data for other in others]))
+        return self._of(self.owner, self._shape, data)
+
+    def __add__(self, other):
+        return self._map(self.owner.payload_add, other)
+
+    def __sub__(self, other):
+        return self._map(self.owner.payload_sub, other)
+
+    def __neg__(self):
+        return self._map(self.owner.payload_neg)
+
+    def scale(self, c: Element):
+        # refused as Element arithmetic refuses a non-Element or another field
+        _require(c, Element, "an Element")
+        if c.owner is not self.owner and c.owner != self.owner:
+            raise FieldMismatch(f"{c.owner.shorthand()} vs {self.owner.shorthand()}")
+        return self._map(partial(self.owner.payload_mul, c.payload))
+
+    def _involute(self):
+        return self._map(self.owner.payload_involute)
+
+    def __eq__(self, other) -> bool:
+        # entries of one container share its field, so payloads decide
+        return (isinstance(other, type(self)) and self.owner == other.owner
+                and self._shape == other._shape and self._data == other._data)
+
+    def __hash__(self) -> int:
+        return hash(self._data)
+
+
+class StateVector(_Payloads):
     """A column of field elements; states are nonzero but the type allows 0."""
 
-    __slots__ = ("owner", "entries")
+    __slots__ = ()
+    _mixed_fields = "vectors live in different fields"
+    _shape_differs = "{} vs {}"
 
     def __init__(self, owner: FieldDescriptor, entries: Sequence):
         if len(entries) < 1:
             raise DimensionMismatch("vectors need at least one entry")
         self.owner = owner
-        self.entries = tuple(owner.element(v) for v in entries)
-
-    @classmethod
-    def _of_payloads(cls, owner: FieldDescriptor, payloads) -> StateVector:
-        """The vector of owner's payloads, wrapped without coercion."""
-        v = cls.__new__(cls)
-        v.owner = owner
-        v.entries = tuple([Element(owner, a) for a in payloads])
-        return v
+        self._data = tuple([_coerce(owner, v) for v in entries])
+        self._shape = len(self._data)
 
     @property
     def dim(self) -> int:
-        return len(self.entries)
+        return self._shape
+
+    @property
+    def entries(self) -> tuple[Element, ...]:
+        return tuple(self)
 
     @classmethod
     def basis_vector(cls, owner: FieldDescriptor, dim: int, k: int) -> StateVector:
-        if not 0 <= k < dim:
-            raise DimensionMismatch(f"basis index {k} outside 0..{dim - 1}")
+        _check_index("basis", k, dim)
         return cls(owner, [1 if j == k else 0 for j in range(dim)])
 
-    def _payloads(self) -> list:
-        return [a.payload for a in self.entries]
-
-    def _check(self, other: StateVector) -> None:
-        _require(other, StateVector, "a StateVector")
-        if self.owner is not other.owner and self.owner != other.owner:
-            raise FieldMismatch("vectors live in different fields")
-        if self.dim != other.dim:
-            raise DimensionMismatch(f"{self.dim} vs {other.dim}")
-
-    def __add__(self, other: StateVector) -> StateVector:
-        self._check(other)
-        add = self.owner.payload_add
-        return StateVector._of_payloads(self.owner, [
-            add(a.payload, b.payload) for a, b in zip(self.entries, other.entries)])
-
-    def __sub__(self, other: StateVector) -> StateVector:
-        self._check(other)
-        sub = self.owner.payload_sub
-        return StateVector._of_payloads(self.owner, [
-            sub(a.payload, b.payload) for a, b in zip(self.entries, other.entries)])
-
-    def __neg__(self) -> StateVector:
-        neg = self.owner.payload_neg
-        return StateVector._of_payloads(self.owner, [neg(a.payload) for a in self.entries])
-
-    def scale(self, c: Element) -> StateVector:
-        mul, c = self.owner.payload_mul, _scalar_payload(self.owner, c)
-        return StateVector._of_payloads(self.owner, [mul(c, a.payload) for a in self.entries])
-
-    def conj(self) -> StateVector:
-        involute = self.owner.payload_involute
-        return StateVector._of_payloads(self.owner, [involute(a.payload) for a in self.entries])
+    conj = _Payloads._involute
 
     def is_zero(self) -> bool:
-        zero = self.owner.zero_payload
-        return all(a.payload == zero for a in self.entries)
+        return self._data.count(self.owner.zero_payload) == self._shape
 
     def sort_key(self):
-        return tuple(a.sort_key() for a in self.entries)
+        return tuple(map(self.owner.payload_sort_key, self._data))
 
     def __iter__(self):
-        return iter(self.entries)
+        return map(partial(Element, self.owner), self._data)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self._shape
 
-    def __getitem__(self, k: int) -> Element:
-        return self.entries[k]
-
-    def __eq__(self, other) -> bool:
-        # entries of one vector share its field, so payloads decide
-        return (
-            isinstance(other, StateVector)
-            and self.owner == other.owner
-            and self._payloads() == other._payloads()
-        )
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
+    def __getitem__(self, k):
+        return self.entries[k] if isinstance(k, slice) else Element(self.owner, self._data[k])
 
     def __repr__(self) -> str:
-        return "[" + ", ".join(str(a) for a in self.entries) + "]"
+        return "[" + ", ".join(map(self.owner.payload_format, self._data)) + "]"
 
 
-class Matrix:
-    __slots__ = ("owner", "rows", "cols", "entries")
+class Matrix(_Payloads):
+    __slots__ = ("rows", "cols")
+    _mixed_fields = "operands live in different fields"
+    _shape_differs = "matrix shapes differ"
 
     def __init__(self, owner: FieldDescriptor, rows: Sequence[Sequence]):
         if len(rows) < 1 or len(rows[0]) < 1:
@@ -157,28 +179,31 @@ class Matrix:
         if any(len(r) != width for r in rows):
             raise DimensionMismatch("ragged rows")
         self.owner = owner
-        self.rows = len(rows)
-        self.cols = width
-        self.entries = tuple(tuple(owner.element(v) for v in r) for r in rows)
+        self._shape = self.rows, self.cols = len(rows), width
+        self._data = tuple([_coerce(owner, v) for r in rows for v in r])
 
     @classmethod
-    def _of_payloads(cls, owner: FieldDescriptor, rows) -> Matrix:
-        """The matrix of rows of owner's payloads, wrapped without coercion."""
-        m = cls.__new__(cls)
-        m.owner = owner
-        m.entries = tuple([tuple([Element(owner, a) for a in r]) for r in rows])
-        m.rows, m.cols = len(m.entries), len(m.entries[0])
+    def _of(cls, owner: FieldDescriptor, shape: tuple[int, int], data: tuple) -> Matrix:
+        m = super()._of(owner, shape, data)
+        m.rows, m.cols = shape
         return m
 
     @classmethod
+    def _diagonal(cls, owner: FieldDescriptor, diag: list) -> Matrix:
+        n = len(diag)
+        if n < 1:
+            raise DimensionMismatch("matrices need at least one row and column")
+        data = [owner.zero_payload] * (n * n)
+        data[:: n + 1] = diag
+        return cls._of(owner, (n, n), tuple(data))
+
+    @classmethod
     def identity(cls, owner: FieldDescriptor, n: int) -> Matrix:
-        return cls(owner, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._diagonal(owner, [owner.payload_from_int(1) for _ in range(n)])
 
     @classmethod
     def diagonal(cls, owner: FieldDescriptor, diag: Sequence) -> Matrix:
-        n = len(diag)
-        elems = [owner.element(d) for d in diag]
-        return cls(owner, [[elems[i] if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._diagonal(owner, [_coerce(owner, d) for d in diag])
 
     @classmethod
     def scalar(cls, owner: FieldDescriptor, n: int, c) -> Matrix:
@@ -191,73 +216,57 @@ class Matrix:
         dim = columns[0].dim
         if any(col.dim != dim for col in columns):
             raise DimensionMismatch("columns of different dimensions")
-        return cls(owner, [[col[i] for col in columns] for i in range(dim)])
+        for col in columns:
+            if col.owner is not owner and col.owner != owner:
+                raise FieldMismatch(f"element of {col.owner.shorthand()} given to {owner.shorthand()}")
+        return cls._of(owner, (dim, len(columns)),
+                       tuple([col._data[i] for i in range(dim) for col in columns]))
+
+    @property
+    def entries(self) -> tuple[tuple[Element, ...], ...]:
+        return tuple(tuple(self.row(i)) for i in range(self.rows))
 
     def entry(self, i: int, j: int) -> Element:
-        return self.entries[i][j]
+        _check_index("row", i, self.rows)
+        _check_index("column", j, self.cols)
+        return Element(self.owner, self._data[i * self.cols + j])
 
     def row(self, i: int) -> StateVector:
-        return StateVector(self.owner, self.entries[i])
+        _check_index("row", i, self.rows)
+        return StateVector._of(self.owner, self.cols, self._data[i * self.cols:(i + 1) * self.cols])
 
     def column(self, j: int) -> StateVector:
-        return StateVector(self.owner, [r[j] for r in self.entries])
+        _check_index("column", j, self.cols)
+        return StateVector._of(self.owner, self.rows, self._data[j::self.cols])
 
     def _payload_rows(self) -> list[list]:
         """The entries' payloads, as fresh row lists."""
-        return [[a.payload for a in r] for r in self.entries]
-
-    def _check_field(self, other) -> None:
-        if self.owner is not other.owner and self.owner != other.owner:
-            raise FieldMismatch("operands live in different fields")
-
-    def _entrywise(self, op, other: Matrix) -> Matrix:
-        """op on the payloads of equal-shaped self and other, entry by entry."""
-        _require(other, Matrix, "a Matrix")
-        self._check_field(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("matrix shapes differ")
-        return Matrix._of_payloads(self.owner, [[op(a.payload, b.payload) for a, b in zip(r1, r2)]
-                                                for r1, r2 in zip(self.entries, other.entries)])
-
-    def __add__(self, other: Matrix) -> Matrix:
-        return self._entrywise(self.owner.payload_add, other)
-
-    def __sub__(self, other: Matrix) -> Matrix:
-        return self._entrywise(self.owner.payload_sub, other)
-
-    def __neg__(self) -> Matrix:
-        neg = self.owner.payload_neg
-        return Matrix._of_payloads(self.owner, [[neg(a.payload) for a in r] for r in self.entries])
-
-    def scale(self, c: Element) -> Matrix:
-        mul, c = self.owner.payload_mul, _scalar_payload(self.owner, c)
-        return Matrix._of_payloads(self.owner, [[mul(c, a.payload) for a in r]
-                                                for r in self.entries])
+        data, c = self._data, self.cols
+        return [list(data[i:i + c]) for i in range(0, len(data), c)]
 
     def __matmul__(self, other):
         _require(other, (Matrix, StateVector), "a Matrix or StateVector")
-        self._check_field(other)
+        self._same_field(other)
         f = self.owner
         add, mul, zero = f.payload_add, f.payload_mul, f.zero_payload
         rows = self._payload_rows()
         if isinstance(other, StateVector):
             if self.cols != other.dim:
                 raise DimensionMismatch(f"{self.cols} columns vs dim {other.dim}")
-            v = other._payloads()
-            return StateVector._of_payloads(f, [_dot(row, v, add, mul, zero) for row in rows])
+            v = other._data
+            return StateVector._of(f, self.rows, tuple([_dot(row, v, add, mul, zero) for row in rows]))
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.cols} columns vs {other.rows} rows")
-        cols = list(zip(*other._payload_rows()))
-        return Matrix._of_payloads(f, [[_dot(row, col, add, mul, zero) for col in cols]
-                                       for row in rows])
+        cols = [other._data[j::other.cols] for j in range(other.cols)]
+        return Matrix._of(f, (self.rows, other.cols),
+                          tuple([_dot(row, col, add, mul, zero) for row in rows for col in cols]))
 
     def transpose(self) -> Matrix:
-        return Matrix._of_payloads(self.owner, zip(*self._payload_rows()))
+        data, c = self._data, self.cols
+        return Matrix._of(self.owner, (c, self.rows),
+                          tuple([a for j in range(c) for a in data[j::c]]))
 
-    def conj_entrywise(self) -> Matrix:
-        involute = self.owner.payload_involute
-        return Matrix._of_payloads(self.owner, [[involute(a.payload) for a in r]
-                                                for r in self.entries])
+    conj_entrywise = _Payloads._involute
 
     def map_entries(self, fn: Callable[[Element], Element], owner: FieldDescriptor | None = None) -> Matrix:
         return Matrix(owner or self.owner, [[fn(a) for a in r] for r in self.entries])
@@ -265,19 +274,9 @@ class Matrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def __eq__(self, other) -> bool:
-        # entries of one matrix share its field, so payloads decide
-        return (
-            isinstance(other, Matrix)
-            and self.owner == other.owner
-            and self._payload_rows() == other._payload_rows()
-        )
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
-
     def __repr__(self) -> str:
-        return "[" + "; ".join(", ".join(str(a) for a in r) for r in self.entries) + "]"
+        fmt = self.owner.payload_format
+        return "[" + "; ".join(", ".join(map(fmt, r)) for r in self._payload_rows()) + "]"
 
 
 def _dot(xs, ys, add, mul, acc):
@@ -292,8 +291,7 @@ def herm_form(x: StateVector, y: StateVector) -> Element:
     _require(x, StateVector, "a StateVector")
     x._check(y)
     f = x.owner
-    involute = f.payload_involute
-    return Element(f, _dot([involute(a.payload) for a in x.entries], y._payloads(),
+    return Element(f, _dot(map(f.payload_involute, x._data), y._data,
                            f.payload_add, f.payload_mul, f.zero_payload))
 
 
@@ -460,8 +458,8 @@ def char_poly(m: Matrix) -> Polynomial:
     ring = _Ring(m.owner)
     product, sub, one = ring.product, ring.sub, ring.one
     n = m.rows
-    work = [[ring.trim([ring.neg(m.entry(i, j).payload)] + ([one] if i == j else []))
-             for j in range(n)] for i in range(n)]
+    work = [[ring.trim([ring.neg(a)] + ([one] if i == j else [])) for j, a in enumerate(row)]
+            for i, row in enumerate(m._payload_rows())]
     prev = [one]
     for k in range(n - 1):
         top, pivot = work[k], work[k][k]
@@ -525,26 +523,26 @@ def null_space(m: Matrix) -> list[StateVector]:
         v[fc] = one
         for row, pc in zip(rref, pivots):
             v[pc] = neg(row[fc])
-        basis.append(StateVector._of_payloads(f, v))
+        basis.append(StateVector._of(f, m.cols, tuple(v)))
     return basis
 
 
 def solve(m: Matrix, b: StateVector) -> StateVector:
     """One exact solution of m x = b (free variables set to zero)."""
     _require(b, StateVector, "a StateVector")
-    m._check_field(b)
+    m._same_field(b)
     if m.rows != b.dim:
         raise DimensionMismatch(f"{m.rows} rows vs dim {b.dim}")
     rows = m._payload_rows()
-    for row, x in zip(rows, b.entries):
-        row.append(x.payload)
+    for row, x in zip(rows, b._data):
+        row.append(x)
     rref, pivots = _rref(rows, m.owner)
     if m.cols in pivots:
         raise Inconsistent("linear system has no solution")
     x = [m.owner.zero_payload] * m.cols
     for row, pc in zip(rref, pivots):
         x[pc] = row[m.cols]
-    return StateVector._of_payloads(m.owner, x)
+    return StateVector._of(m.owner, m.cols, tuple(x))
 
 
 @dataclass(frozen=True)

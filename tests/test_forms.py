@@ -801,9 +801,9 @@ ORACLE_CASES = [pytest.param(_one_route(f, tabled), id=f"{f}-{'table' if tabled 
 
 
 @st.composite
-def _oracle_matrices(draw, field, rows=None):
-    """Random, zero, singular (last row a multiple of the first) or
-    pivot-swapping (a zero top-left entry) matrices of up to 4 x 4."""
+def _oracle_rows(draw, field, rows=None):
+    """The Element rows of random, zero, singular (last row a multiple of the
+    first) or pivot-swapping (a zero top-left entry) matrices of up to 4 x 4."""
     n_rows = rows or draw(st.integers(1, 4))
     n_cols = draw(st.integers(1, 4))
     entries = draw(st.lists(st.lists(_ring_elements(field), min_size=n_cols, max_size=n_cols),
@@ -816,7 +816,11 @@ def _oracle_matrices(draw, field, rows=None):
         entries[-1] = [c * x for x in entries[0]]
     elif kind == "swap":
         entries[0][0] = field.zero()
-    return Matrix(field, entries)
+    return entries
+
+
+def _oracle_matrices(field, rows=None):
+    return _oracle_rows(field, rows).map(lambda r: Matrix(field, r))
 
 
 def _oracle_vectors(field, dim):
@@ -854,39 +858,129 @@ def test_payload_linear_algebra_matches_element_oracle(field, data):
         assert solve(m, b).entries == expected.entries
 
 
-def _entry_count(result) -> int:
-    if isinstance(result, list):
-        return sum(map(_entry_count, result))
-    if isinstance(result, Matrix):
-        return result.rows * result.cols
-    return len(result) if isinstance(result, StateVector) else 1
+@pytest.mark.parametrize("field", ORACLE_CASES)
+@given(data=st.data())
+def test_payload_containers_match_element_oracle(field, data):
+    """Constructors, accessors and reads of the payload store against the
+    Element rows they stand for, built by the public constructors."""
+    rows = data.draw(_oracle_rows(field))
+    entries = data.draw(st.lists(_ring_elements(field), min_size=1, max_size=4))
+    c = data.draw(_ring_elements(field))
+    m, v = Matrix(field, rows), StateVector(field, entries)
+    n, zero, one = len(entries), field.zero(), field.one()
+    columns = [list(col) for col in zip(*rows)]
+    assert m.entries == tuple(map(tuple, rows))
+    assert [[m.entry(i, j) for j in range(m.cols)] for i in range(m.rows)] == rows
+    assert [list(m.row(i)) for i in range(m.rows)] == rows
+    assert [list(m.column(j)) for j in range(m.cols)] == columns
+    assert list(v) == entries and v.entries == tuple(entries)
+    assert [v[k] for k in range(-n, n)] == [entries[k] for k in range(-n, n)]
+    for cut in (slice(None), slice(1, None), slice(None, -1), slice(None, None, -1),
+                slice(-3, None, 2)):
+        assert v[cut] == tuple(entries)[cut]
+    # each: built on payloads, and the Element rows it stands for
+    cases = [
+        (Matrix.identity(field, n), [[one if i == j else zero for j in range(n)] for i in range(n)]),
+        (Matrix.diagonal(field, entries),
+         [[entries[i] if i == j else zero for j in range(n)] for i in range(n)]),
+        (Matrix.scalar(field, n, c), [[c if i == j else zero for j in range(n)] for i in range(n)]),
+        (Matrix.from_columns(field, [m.column(j) for j in range(m.cols)]), rows),
+        (Matrix.from_columns(field, [v]), [[a] for a in entries]),
+        (m.transpose(), columns),
+        (m.map_entries(lambda a: a * c), [[a * c for a in r] for r in rows]),
+        (m - m.scale(c), [[a - c * a for a in r] for r in rows]),
+        (conj_transpose(conj_transpose(m)), rows),
+    ]
+    for built, expected_rows in cases:
+        expected = Matrix(field, expected_rows)
+        assert (built.rows, built.cols) == (expected.rows, expected.cols)
+        assert built.entries == tuple(map(tuple, expected_rows))
+        assert built == expected and hash(built) == hash(expected)
+    for built, expected in [(m.row(0), StateVector(field, rows[0])), (v + v.scale(zero), v),
+                            (v.conj().conj(), v), (-(-v), v)]:
+        assert built == expected and hash(built) == hash(expected)
+    column = Matrix(field, [[a] for a in entries])
+    assert column != v and v != column
+    if n > 1:
+        assert Matrix(field, [entries]) != column
 
 
-@pytest.mark.parametrize("field", [PrimeField(7), QuadExt(3, 1), QuadExt(5, 2), QI], ids=str)
-def test_linear_algebra_builds_no_element_beyond_its_result(monkeypatch, field):
-    """Guards the payload loops: null_space, solve, @ and herm_form make an
-    Element for each entry of their result and none per step."""
-    rng = random.Random(41)
-    m = random_matrix(rng, field, 4, 4)
-    singular = Matrix(field, list(m.entries[:3]) + [m.entries[0]])
-    v, w = random_state(rng, field, 4), random_state(rng, field, 4)
-    calls = {
-        "null_space": lambda: null_space(singular),
-        "solve": lambda: solve(m, v),
-        "matrix @ matrix": lambda: m @ singular,
-        "matrix @ vector": lambda: m @ v,
-        "herm_form": lambda: herm_form(v, w),
-    }
-    built = []
-    init = starfield.Element.__init__
+def _field_calls(monkeypatch, call) -> tuple[int, int, object]:
+    """The Elements built and the FieldDescriptor.element calls made by call()."""
+    built, coerced = [], []
+    init, element = starfield.Element.__init__, starfield.FieldDescriptor.element
 
     def counting_init(self, owner, payload):
         built.append(payload)
         init(self, owner, payload)
 
-    for name, call in calls.items():
-        built.clear()
-        monkeypatch.setattr(starfield.Element, "__init__", counting_init)
+    def counting_element(self, value):
+        coerced.append(value)
+        return element(self, value)
+
+    monkeypatch.setattr(starfield.Element, "__init__", counting_init)
+    monkeypatch.setattr(starfield.FieldDescriptor, "element", counting_element)
+    try:
         result = call()
+    finally:
         monkeypatch.undo()
-        assert len(built) <= _entry_count(result), name
+    return len(built), len(coerced), result
+
+
+@pytest.mark.parametrize("field", [PrimeField(7), QuadExt(3, 1), QuadExt(5, 2), QI], ids=str)
+def test_linear_algebra_builds_no_element_beyond_its_result(monkeypatch, field):
+    """Guards the payload store: an operation on vectors and matrices that
+    returns vectors or matrices builds no Element and coerces nothing, and
+    herm_form builds its one result."""
+    rng = random.Random(41)
+    m = random_matrix(rng, field, 4, 4)
+    singular = Matrix(field, list(m.entries[:3]) + [m.entries[0]])
+    v, w = random_state(rng, field, 4), random_state(rng, field, 4)
+    c = field.element(3)
+    calls = {
+        "null_space": lambda: null_space(singular),
+        "solve": lambda: solve(m, v),
+        "matrix @ matrix": lambda: m @ singular,
+        "matrix @ vector": lambda: m @ v,
+        "identity": lambda: Matrix.identity(field, 4),
+        "scalar": lambda: Matrix.scalar(field, 4, c),
+        "from_columns": lambda: Matrix.from_columns(field, [v, w]),
+        "transpose": lambda: m.transpose(),
+        "conj_transpose": lambda: conj_transpose(m),
+        "matrix +": lambda: m + singular,
+        "matrix -": lambda: m - singular,
+        "matrix scale": lambda: m.scale(c),
+        "vector +": lambda: v + w,
+        "vector -": lambda: v - w,
+        "vector scale": lambda: v.scale(c),
+    }
+    for name, call in calls.items():
+        assert _field_calls(monkeypatch, call)[:2] == (0, 0), name
+    built, coerced, value = _field_calls(monkeypatch, lambda: herm_form(v, w))
+    assert (built, coerced) == (1, 0) and value == _ref_herm_form(v, w)
+
+
+def test_matrix_entry_refuses_an_index_outside_the_matrix():
+    m = Matrix(F9, [["1", "t", "2"], ["0", "1", "t"]])
+    assert m.entry(1, 2) == F9.element("t")
+    # with flat storage (0, 5) would otherwise read the second row
+    for i, j, text in [(0, 5, "column index 5 outside 0..2"), (2, 0, "row index 2 outside 0..1"),
+                       (-1, 0, "row index -1 outside 0..1"), (0, -1, "column index -1 outside 0..2")]:
+        with pytest.raises(DimensionMismatch, match=text):
+            m.entry(i, j)
+
+
+def test_matrix_row_refuses_an_index_outside_the_rows():
+    m = Matrix(F9, [["1", "t", "2"], ["0", "1", "t"]])
+    assert m.row(1) == StateVector(F9, ["0", "1", "t"])
+    for i in (2, 5, -1):
+        with pytest.raises(DimensionMismatch, match=f"row index {i} outside 0..1"):
+            m.row(i)
+
+
+def test_matrix_column_refuses_an_index_outside_the_columns():
+    m = Matrix(F9, [["1", "t", "2"], ["0", "1", "t"]])
+    assert m.column(2) == StateVector(F9, ["2", "t"])
+    for j in (3, 5, -1):
+        with pytest.raises(DimensionMismatch, match=f"column index {j} outside 0..2"):
+            m.column(j)
