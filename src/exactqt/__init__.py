@@ -1,5 +1,7 @@
 """exactqt: exact-arithmetic quantum formalism over fields with involution."""
 
+from types import ModuleType as _ModuleType
+
 from .autocode import (
     SCAN_LIMIT,
     FixedPointReport,
@@ -110,95 +112,6 @@ from .starfield import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BipartiteState",
-    "CurvesMeetReport",
-    "DimensionMismatch",
-    "EigenDecomposition",
-    "EigenPair",
-    "Element",
-    "EmbeddingCertificate",
-    "EvenExtensionDegree",
-    "ExactQTError",
-    "FieldDescriptor",
-    "FieldEmbedding",
-    "FieldMismatch",
-    "FixedPointReport",
-    "GaussianRationals",
-    "ImproperField",
-    "IsotropicVector",
-    "Matrix",
-    "MeasurementOutcome",
-    "MeasurementReport",
-    "NoCloningWitness",
-    "NonSquare",
-    "NotHermitian",
-    "NotHomogeneous",
-    "NotUnitary",
-    "Observable",
-    "ParseError",
-    "Polynomial",
-    "PrimeField",
-    "ProjectivePoint",
-    "QuadExt",
-    "SCAN_LIMIT",
-    "SampleReport",
-    "SemilinearMap",
-    "StateVector",
-    "TernaryForm",
-    "TowerVerdict",
-    "WrongField",
-    "ZeroState",
-    "alpha_rename",
-    "build_embedding",
-    "char_poly",
-    "collapse",
-    "conj_transpose",
-    "curves_meet",
-    "eigen_decompose",
-    "eval_closure",
-    "eval_finite",
-    "evolve",
-    "expand_literals",
-    "extend_matrix",
-    "extend_state",
-    "fixed_field_coordinates",
-    "fixed_points",
-    "fixed_pool",
-    "free_variables",
-    "herm_form",
-    "involute",
-    "is_fixed",
-    "is_hermitian",
-    "is_product",
-    "is_unitary",
-    "lefschetz_sample",
-    "make_field",
-    "make_observable",
-    "measure",
-    "no_cloning_witness",
-    "norm_one_elements",
-    "norm_split",
-    "null_space",
-    "parse_field",
-    "parse_sentence",
-    "parse_ternary_polynomial",
-    "pretty",
-    "probability_profile",
-    "projector_onto",
-    "random_element",
-    "random_hermitian",
-    "random_invertible",
-    "random_matrix",
-    "random_observable_matrix",
-    "random_semilinear",
-    "random_state",
-    "random_unitary",
-    "rank",
-    "rotation_block",
-    "solve",
-    "square_is_linear",
-    "tensor_op",
-    "tensor_state",
-    "__version__",
-]
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))
+__all__.append("__version__")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .embed import _build_inclusion, extend_matrix
 from .errors import DimensionMismatch, FieldMismatch, ImproperField, NonSquare, WrongField
 from .forms import Matrix, Polynomial, StateVector, eigen_decompose, rank
-from .jsonio import _Record
+from .jsonio import _Record, matrix_to_json
 from .starfield import Element, QuadExt
 
 # An eigenspace or norm class with more projective points than this lists
@@ -78,8 +78,7 @@ class SemilinearMap:
         return {
             "field": self.owner.to_json(),
             "twist": self.twist,
-            "matrix": [str(self.matrix.entry(i, j))
-                       for i in range(self.dim) for j in range(self.dim)],
+            "matrix": matrix_to_json(self.matrix)["entries"],
         }
 
 
@@ -135,22 +134,19 @@ def _projective_reps(field, dim: int):
 
 
 def _span_points(basis, order: int, scalars, what: str, level: int, notes: list):
-    """The normalized points of the span of basis over a field of `order`
-    elements, which scalars() lists in element order; when they number more
-    than SCAN_LIMIT, the normalized basis only, with a note naming `what`."""
+    """The normalized points span @ combo of the span of basis over a field of
+    `order` elements, which scalars() lists in element order.  A line, or a span
+    of more than SCAN_LIMIT points (noted, naming `what`), lists its normalized basis."""
     size = _projective_count(order, len(basis))
     if size > SCAN_LIMIT:
         notes.append(f"level {level}: {what} holds {size} projective points, "
                      f"over the scan limit {SCAN_LIMIT}; listing a basis only")
+    if size > SCAN_LIMIT or size == 1:
         return [_normalize(b) for b in basis]
-    points = []
+    span = Matrix.from_columns(basis[0].owner, basis)
     # not _projective_reps, whose points the benchmark's tracer counts
-    for combo in _normalized_coordinates(scalars(), len(basis)):
-        v = basis[0].scale(combo[0])
-        for c, b in zip(combo[1:], basis[1:]):
-            v = v + b.scale(c)
-        points.append(_normalize(v))
-    return points
+    return [_normalize(span @ StateVector(span.owner, combo))
+            for combo in _normalized_coordinates(scalars(), len(basis))]
 
 
 def _eigen_points(mhat: Matrix, level: int, notes: list):

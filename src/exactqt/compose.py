@@ -36,10 +36,8 @@ class BipartiteState:
         return self.vector.owner
 
     def reshape(self) -> Matrix:
-        """The d1 x d2 coefficient matrix M[i][j] = vector[i*d2 + j]."""
-        d1, d2 = self.dims
-        return Matrix(self.owner, [
-            [self.vector[i * d2 + j] for j in range(d2)] for i in range(d1)])
+        """The d1 x d2 coefficient matrix M[i][j] = vector[i*d2 + j], on the vector's payloads."""
+        return Matrix._of(self.owner, self.dims, self.vector._data)
 
 
 def tensor_state(x: StateVector, y: StateVector) -> BipartiteState:
@@ -72,13 +70,9 @@ def is_product(state: BipartiteState) -> tuple[bool, tuple[StateVector, StateVec
     m = state.reshape()
     if rank(m) != 1:
         return False, None
-    d1, d2 = state.dims
-    pivot_row = next(i for i in range(d1)
-                     if any(not m.entry(i, j).is_zero() for j in range(d2)))
-    pivot_col = next(j for j in range(d2) if not m.entry(pivot_row, j).is_zero())
-    pivot = m.entry(pivot_row, pivot_col)
-    left = StateVector(state.owner, [m.entry(i, pivot_col) / pivot for i in range(d1)])
-    right = StateVector(state.owner, [m.entry(pivot_row, j) for j in range(d2)])
+    right = next(row for row in map(m.row, range(m.rows)) if not row.is_zero())
+    pivot_col, pivot = next((j, c) for j, c in enumerate(right) if not c.is_zero())
+    left = m.column(pivot_col).scale(pivot.inverse())
     assert tensor_state(left, right).vector == state.vector
     return True, (left, right)
 

@@ -249,17 +249,18 @@ class Matrix(_Payloads):
         self._same_field(other)
         f = self.owner
         add, mul, zero = f.payload_add, f.payload_mul, f.zero_payload
-        rows = self._payload_rows()
         if isinstance(other, StateVector):
             if self.cols != other.dim:
                 raise DimensionMismatch(f"{self.cols} columns vs dim {other.dim}")
-            v = other._data
-            return StateVector._of(f, self.rows, tuple([_dot(row, v, add, mul, zero) for row in rows]))
+            acc, data, c = [zero] * self.rows, self._data, self.cols
+            for j, x in enumerate(other._data):  # acc += x * column j, one map each
+                acc = list(map(add, acc, map(partial(mul, x), data[j::c])))
+            return StateVector._of(f, self.rows, tuple(acc))
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.cols} columns vs {other.rows} rows")
         cols = [other._data[j::other.cols] for j in range(other.cols)]
-        return Matrix._of(f, (self.rows, other.cols),
-                          tuple([_dot(row, col, add, mul, zero) for row in rows for col in cols]))
+        return Matrix._of(f, (self.rows, other.cols), tuple(
+            [_dot(row, col, add, mul, zero) for row in self._payload_rows() for col in cols]))
 
     def transpose(self) -> Matrix:
         data, c = self._data, self.cols
@@ -339,6 +340,9 @@ class Polynomial:
         return bool(self.coeffs) and self.coeffs[-1] == self.owner.one()
 
     def coefficient(self, k: int) -> Element:
+        """The coefficient of x^k: zero above the degree, refused below 0."""
+        if k < 0:
+            raise ValueError(f"coefficient index {k} is negative")
         return self.coeffs[k] if k <= self.degree else self.owner.zero()
 
     def evaluate(self, x: Element) -> Element:

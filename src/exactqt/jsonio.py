@@ -41,7 +41,7 @@ def matrix_to_json(m: Matrix) -> dict:
         "field": m.owner.to_json(),
         "rows": m.rows,
         "cols": m.cols,
-        "entries": [str(m.entry(i, j)) for i in range(m.rows) for j in range(m.cols)],
+        "entries": [str(c) for row in m.entries for c in row],
     }
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .errors import (
     DimensionMismatch,
@@ -105,10 +106,10 @@ class MeasurementReport:
         raise ImpossibleOutcome(f"{eigenvalue} is not an eigenvalue")
 
 
-def _eigen_blocks(obs: Observable, psi: StateVector) -> list[tuple[EigenPair, list[Element]]]:
+def _eigen_blocks(obs: Observable, psi: StateVector) -> list[tuple[EigenPair, StateVector]]:
     """The checks measure and collapse share, then one solve for psi's
-    coefficients in the full eigenbasis (unique by completeness), split into
-    one block per eigenpair."""
+    coordinates in the full eigenbasis (unique by completeness), split into
+    one coordinate vector per eigenpair, sliced as payloads."""
     if psi.owner != obs.owner:
         raise FieldMismatch("state and observable live in different fields")
     if psi.dim != obs.dim:
@@ -117,22 +118,16 @@ def _eigen_blocks(obs: Observable, psi: StateVector) -> list[tuple[EigenPair, li
         raise ZeroState("states are nonzero vectors")
     if not obs.complete:
         raise IncompleteSpectrum("measurement needs a complete eigendecomposition")
+    f = obs.owner
     basis = [v for pair in obs.spectrum.pairs for v in pair.basis]
-    coeffs = list(solve(Matrix.from_columns(obs.owner, basis), psi))
-    blocks, offset = [], 0
-    for pair in obs.spectrum.pairs:
-        blocks.append((pair, coeffs[offset : offset + pair.dimension]))
-        offset += pair.dimension
-    return blocks
+    coeffs = iter(solve(Matrix.from_columns(f, basis), psi)._data)
+    return [(pair, StateVector._of(f, pair.dimension, tuple(islice(coeffs, pair.dimension))))
+            for pair in obs.spectrum.pairs]
 
 
-def _project(pair: EigenPair, block: list[Element], dim: int) -> StateVector:
-    """The eigenspace component whose coordinates in pair.basis are block."""
-    owner = pair.value.owner
-    projected = StateVector(owner, [owner.zero()] * dim)
-    for c, v in zip(block, pair.basis):
-        projected = projected + v.scale(c)
-    return projected
+def _project(pair: EigenPair, coords: StateVector) -> StateVector:
+    """The eigenspace component whose coordinates in pair.basis are coords."""
+    return Matrix.from_columns(coords.owner, pair.basis) @ coords
 
 
 def _orthogonalize(basis: tuple[StateVector, ...]) -> list[StateVector] | None:
@@ -162,8 +157,8 @@ def measure(obs: Observable, psi: StateVector) -> MeasurementReport:
     isotropic pivot.  Weights, when all defined, sum to <psi, psi>.
     """
     outcomes = []
-    for pair, block in _eigen_blocks(obs, psi):
-        projected = _project(pair, block, psi.dim)
+    for pair, coords in _eigen_blocks(obs, psi):
+        projected = _project(pair, coords)
         ortho = _orthogonalize(pair.basis)
         weight = None
         if ortho is not None:
@@ -183,18 +178,19 @@ def collapse(obs: Observable, psi: StateVector, eigenvalue: Element) -> StateVec
     Idempotent on its outcome: collapsing the result on the same eigenvalue
     returns the identical vector, hence the same projective point.
     """
-    target = next(((pair, block) for pair, block in _eigen_blocks(obs, psi)
+    target = next(((pair, coords) for pair, coords in _eigen_blocks(obs, psi)
                    if pair.value == eigenvalue), None)
     if target is None:
         raise ImpossibleOutcome(f"{eigenvalue} is not an eigenvalue of the observable")
-    projected = _project(*target, psi.dim)
+    projected = _project(*target)
     if projected.is_zero():
         raise ImpossibleOutcome(f"state has zero component in eigenspace of {eigenvalue}")
     return projected
 
 
 def projector_onto(vectors: list[StateVector]) -> Matrix:
-    """P = sum of v v* / <v, v> over pairwise orthogonal non-isotropic vectors.
+    """P = sum of v v* / <v, v> over pairwise orthogonal non-isotropic vectors,
+    one product: the columns v / <v, v> times the adjoint of the columns v.
 
     The result satisfies P @ P = P and conj_transpose(P) = P exactly.
     """
@@ -215,12 +211,8 @@ def projector_onto(vectors: list[StateVector]) -> Matrix:
         for b in range(a + 1, len(vectors)):
             if not herm_form(vectors[a], vectors[b]).is_zero():
                 raise NotOrthogonal(f"vectors {a} and {b} are not orthogonal")
-    total = Matrix(f, [[f.zero()] * dim for _ in range(dim)])
-    for v in vectors:
-        norm_inv = herm_form(v, v).inverse()
-        outer = Matrix(f, [[v[i] * v[j].conj() * norm_inv for j in range(dim)]
-                           for i in range(dim)])
-        total = total + outer
+    scaled = [v.scale(herm_form(v, v).inverse()) for v in vectors]
+    total = Matrix.from_columns(f, scaled) @ conj_transpose(Matrix.from_columns(f, vectors))
     assert total @ total == total and conj_transpose(total) == total
     return total
 

@@ -99,6 +99,8 @@ class Element:
         return Element(self.owner, self.owner.payload_neg(self.payload))
 
     def __truediv__(self, other: Element) -> Element:
+        if not isinstance(other, Element):
+            raise TypeError(f"expected an Element, got {type(other).__name__}")
         return self * other.inverse()
 
     def __pow__(self, n: int) -> Element:

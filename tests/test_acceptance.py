@@ -321,3 +321,38 @@ def test_c10_selftest_runs_are_byte_identical():
     assert all(r.returncode == 0 for r in runs)
     assert runs[0].stdout == runs[1].stdout and runs[0].stdout
     assert json.loads(runs[0].stdout)["passed"] is True
+
+
+# exactqt.__all__ as released: the public surface, name for name and in order.
+PUBLIC_NAMES = [
+    "BipartiteState", "CurvesMeetReport", "DimensionMismatch", "EigenDecomposition",
+    "EigenPair", "Element", "EmbeddingCertificate", "EvenExtensionDegree",
+    "ExactQTError", "FieldDescriptor", "FieldEmbedding", "FieldMismatch",
+    "FixedPointReport", "GaussianRationals", "ImproperField", "IsotropicVector",
+    "Matrix", "MeasurementOutcome", "MeasurementReport", "NoCloningWitness",
+    "NonSquare", "NotHermitian", "NotHomogeneous", "NotUnitary", "Observable",
+    "ParseError", "Polynomial", "PrimeField", "ProjectivePoint", "QuadExt",
+    "SCAN_LIMIT", "SampleReport", "SemilinearMap", "StateVector", "TernaryForm",
+    "TowerVerdict", "WrongField", "ZeroState", "alpha_rename", "build_embedding",
+    "char_poly", "collapse", "conj_transpose", "curves_meet", "eigen_decompose",
+    "eval_closure", "eval_finite", "evolve", "expand_literals", "extend_matrix",
+    "extend_state", "fixed_field_coordinates", "fixed_points", "fixed_pool",
+    "free_variables", "herm_form", "involute", "is_fixed", "is_hermitian",
+    "is_product", "is_unitary", "lefschetz_sample", "make_field", "make_observable",
+    "measure", "no_cloning_witness", "norm_one_elements", "norm_split",
+    "null_space", "parse_field", "parse_sentence", "parse_ternary_polynomial",
+    "pretty", "probability_profile", "projector_onto", "random_element",
+    "random_hermitian", "random_invertible", "random_matrix",
+    "random_observable_matrix", "random_semilinear", "random_state",
+    "random_unitary", "rank", "rotation_block", "solve", "square_is_linear",
+    "tensor_op", "tensor_state", "__version__",
+]
+
+
+def test_public_surface_is_pinned():
+    import exactqt
+    assert exactqt.__all__ == PUBLIC_NAMES
+    assert all(hasattr(exactqt, name) for name in PUBLIC_NAMES)
+    namespace: dict = {}
+    exec("from exactqt import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(PUBLIC_NAMES)

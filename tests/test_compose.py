@@ -98,6 +98,20 @@ def brute_is_product(state: BipartiteState) -> bool:
     return False
 
 
+def _ref_factors(state: BipartiteState):
+    """The factors as is_product built them by entry scans of M[i][j] =
+    vector[i*d2 + j]: the first nonzero row, and the column through its first
+    nonzero entry over that entry."""
+    d1, d2 = state.dims
+    m = [[state.vector[i * d2 + j] for j in range(d2)] for i in range(d1)]
+    pivot_row = next(i for i in range(d1) if any(not c.is_zero() for c in m[i]))
+    pivot_col = next(j for j in range(d2) if not m[pivot_row][j].is_zero())
+    pivot = m[pivot_row][pivot_col]
+    left = StateVector(state.owner, [m[i][pivot_col] / pivot for i in range(d1)])
+    right = StateVector(state.owner, m[pivot_row])
+    return left, right
+
+
 def test_is_product_matches_brute_force_exhaustive_f4():
     for c in itertools.product(F4.elements(), repeat=4):
         v = StateVector(F4, list(c))
@@ -109,6 +123,7 @@ def test_is_product_matches_brute_force_exhaustive_f4():
         if flag:
             left, right = factors
             assert tensor_state(left, right).vector == state.vector
+            assert factors == _ref_factors(state)
             pivot = next(e for e in left if not e.is_zero())
             assert pivot == F4.one()
         else:
@@ -124,6 +139,10 @@ def test_entangled_pair_detected():
     assert flag
     left, right = factors
     assert str(left[0]) == "1"
+    state = tensor_state(StateVector(QI, ["0", "2-i", "3i"]), StateVector(QI, ["0", "1/2", "5+i"]))
+    flag, factors = is_product(state)
+    assert flag and factors == _ref_factors(state)
+    assert [str(c) for c in factors[0]] == ["0", "1", "-3/5+6/5i"]
 
 
 @pytest.mark.parametrize("field", BACKENDS)

@@ -347,6 +347,15 @@ def test_zero_polynomial_has_no_root_list():
             Polynomial(field, [0, 0]).roots()
 
 
+def test_polynomial_coefficient_refuses_a_negative_index():
+    poly = Polynomial(F9, [1, 2, 3])  # 3 = 0 in F_9, so the degree is 1
+    assert [str(poly.coefficient(k)) for k in range(4)] == ["1", "2", "0", "0"]
+    assert Polynomial(F9, []).coefficient(0).is_zero()
+    for p, k in [(poly, -1), (poly, -3), (Polynomial(F9, []), -1)]:
+        with pytest.raises(ValueError, match=f"coefficient index {k} is negative"):
+            p.coefficient(k)
+
+
 def test_planted_spectrum_over_f_1009_squared():
     field = QuadExt(1009, 1)
     rng = random.Random(1009)
@@ -708,6 +717,8 @@ def test_operands_of_the_wrong_type_raise_type_error():
         herm_form(3, v)
     with pytest.raises(TypeError, match="expected an Element, got int"):
         v.scale(3)
+    with pytest.raises(TypeError, match="expected an Element, got int"):
+        F9.one() / 2
 
 
 # The Element-level products, Hermitian form and row reduction that forms

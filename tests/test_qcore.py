@@ -184,6 +184,24 @@ def test_projector_laws_spot_check():
     assert (p @ w).is_zero()
     both = projector_onto([v, w])
     assert both == Matrix.identity(F9, 2)
+    # over Q(i) and F_25, entry by entry against the Element sum of
+    # v_i v_j^gamma / <v, v>: a conjugation on the wrong side still gives an
+    # idempotent Hermitian matrix, but not this one
+    for field, v, w in [(QI, ["1+2i", "3"], ["3", "-1+2i"]), (F25, ["1", "t"], ["t", "1+t"])]:
+        v, w = StateVector(field, v), StateVector(field, w)
+        assert herm_form(v, w).is_zero()
+        for vectors in ([v], [w], [v, w]):
+            p = projector_onto(vectors)
+            for i in range(2):
+                for j in range(2):
+                    expected = field.zero()
+                    for u in vectors:
+                        expected = expected + u[i] * u[j].conj() / herm_form(u, u)
+                    assert p.entry(i, j) == expected
+        p = projector_onto([v])
+        assert p @ v == v
+        assert (p @ w).is_zero()
+        assert p != p.conj_entrywise()  # what the wrong side would give
 
 
 def test_probability_profile_torus_invariance():
