@@ -8,8 +8,10 @@ prime and quadratic fields.  Fields are cached and fully deterministic:
 moduli are the canonical lexicographically smallest irreducibles.  An
 inclusion sends the generator to the first root of the small modulus in the
 bigger field's element order; _generator_image finds that root with
-Polynomial.roots, which enumerates no field, and caches it for lift here and
-for embed's quadratic fields.
+Polynomial.roots, which enumerates no field, and caches it for the lifts
+here and for embed's quadratic fields.  lift_payload includes a payload by
+evaluating it, as a polynomial in t, at that root; the closure search lifts
+its payload environment with it, and lift is its wrapper for Elements.
 """
 
 from __future__ import annotations
@@ -62,12 +64,19 @@ def _generator_image(modulus: tuple[int, ...], big: FpQuotientField) -> Element:
     return roots[0]
 
 
+def lift_payload(small: TowerField, a: tuple[int, ...], m: int) -> tuple[int, ...]:
+    """The payload in F_{p^m} of the element of small = F_{p^n} with payload a;
+    requires n | m.  The inclusion sends t to _generator_image."""
+    if small.n == m:
+        return a
+    if m % small.n:
+        raise ValueError(f"F_{small.p}^{small.n} does not embed in F_{small.p}^{m}")
+    big = tower_field(small.p, m)
+    return _fppoly.eval_int_poly(a, _generator_image(small.modulus, big).payload, big)
+
+
 def lift(x: Element, m: int) -> Element:
     """Include an element of F_{p^n} into F_{p^m}; requires n | m."""
     small = x.owner
     assert isinstance(small, TowerField)
-    if small.n == m:
-        return x
-    if m % small.n:
-        raise ValueError(f"F_{small.p}^{small.n} does not embed in F_{small.p}^{m}")
-    return _eval_at(x.payload, _generator_image(small.modulus, tower_field(small.p, m)))
+    return Element(tower_field(small.p, m), lift_payload(small, x.payload, m))

@@ -45,20 +45,20 @@ def tensor_state(x: StateVector, y: StateVector) -> BipartiteState:
         raise FieldMismatch("tensor factors live in different fields")
     if x.is_zero() or y.is_zero():
         raise ZeroState("tensor factors must be nonzero states")
-    entries = [a * b for a in x.entries for b in y.entries]
-    return BipartiteState((x.dim, y.dim), StateVector(x.owner, entries))
+    mul = x.owner.payload_mul
+    data = tuple([mul(a, b) for a in x._data for b in y._data])
+    return BipartiteState((x.dim, y.dim), StateVector._of(x.owner, x.dim * y.dim, data))
 
 
 def tensor_op(a: Matrix, b: Matrix) -> Matrix:
-    """Kronecker product with the same row-major convention as tensor_state."""
+    """Kronecker product with the same row-major convention as tensor_state:
+    row (i, k) holds a[i][j] * b[k][l] in (j, l) order, on payloads."""
     if a.owner != b.owner:
         raise FieldMismatch("tensor factors live in different fields")
-    out = []
-    for i in range(a.rows):
-        for k in range(b.rows):
-            out.append([a.entry(i, j) * b.entry(k, l)
-                        for j in range(a.cols) for l in range(b.cols)])
-    return Matrix(a.owner, out)
+    mul = a.owner.payload_mul
+    data = tuple([mul(x, y) for row_a in a._payload_rows() for row_b in b._payload_rows()
+                  for x in row_a for y in row_b])
+    return Matrix._of(a.owner, (a.rows * b.rows, a.cols * b.cols), data)
 
 
 def is_product(state: BipartiteState) -> tuple[bool, tuple[StateVector, StateVector] | None]:

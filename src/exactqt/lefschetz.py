@@ -3,7 +3,11 @@
 The language has terms built from variables, nonnegative integer literals,
 +, - and *, atomic equalities, the connectives ! & |, and quantifiers
 written "E x . body" and "A x . body".  Both evaluators run one quantifier
-search.  eval_finite brute-forces a sentence over any finite field.
+search, which compiles the sentence to functions on field payloads, once
+per ambient degree, and loops its quantifiers over payloads in element
+order; it builds no Element (the inclusions' generator images, which
+_tower caches, aside).  eval_finite brute-forces a sentence over any
+finite field.
 eval_closure approximates truth over the algebraic closure of F_p: a
 quantifier whose ambient field has degree n may range over any extension
 of relative degree d = 1..max_level, moving the ambient up to degree n*d,
@@ -29,9 +33,10 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from operator import itemgetter
+from typing import Callable, NamedTuple
 
-from ._tower import lift, tower_field
+from ._tower import lift_payload, tower_field
 from .errors import NotHomogeneous, ParseError
 from .forms import Polynomial
 from .jsonio import _Record
@@ -137,7 +142,8 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
 # Deeper or longer sentences are refused with a ParseError before Python's
 # own recursion limit is reached, here or in the recursive passes after
 # parsing: free_variables, alpha_rename, expand_literals, pretty, the
-# preparation walk of _closed_sentence and the search with _eval_term.
+# preparation walk of _closed_sentence, and _search, which compiles a tree
+# and then runs the compiled code, both one frame per level as well.
 # Every tree node owns a token of its own (an operator, keyword or leaf), so
 # the token cap also bounds the height of the tree, flat chains such as
 # x + x + ... + x included, and each pass recurses once, one Python frame,
@@ -416,23 +422,6 @@ def expand_literals(formula):
     return formula
 
 
-def _eval_term(t, env: dict, field: FieldDescriptor) -> Element:
-    if isinstance(t, Var):
-        try:
-            return env[t.name]
-        except KeyError:
-            raise ValueError(f"unbound variable {t.name!r}") from None
-    if isinstance(t, Lit):
-        return field.element(t.value)
-    a = _eval_term(t.left, env, field)
-    b = _eval_term(t.right, env, field)
-    if isinstance(t, Add):
-        return a + b
-    if isinstance(t, Sub):
-        return a - b
-    return a * b
-
-
 class _Prepared(NamedTuple):
     tree: object
     stripped: object  # tree without vacuous quantifiers
@@ -474,52 +463,127 @@ def _closed_sentence(sentence) -> _Prepared:
     return _Prepared(sentence, stripped, flags)
 
 
+_UNBOUND = object()  # marks a quantifier variable that shadows nothing
+
+
 def _search(sentence, field_at, extensions):
     """The one quantifier search: (value, witness, level), value None for Unknown.
 
     field_at(n) is the field at ambient degree n; extensions(n) returns the
-    ambient degrees a quantifier at degree n ranges over, and whether a
-    bound cut any of them off.  Outer values are lifted when a quantifier
-    moves to a bigger ambient field.
-    """
+    ambient degrees a quantifier at degree n ranges over, n itself first,
+    and whether a bound cut any of them off.
 
-    def ev(f, env: dict, ambient: int):
+    The search runs compiled code, not the tree.  Each node is compiled
+    once per ambient degree n, when the search first reaches it there, into
+    a function of one mutable environment (variable name -> payload in
+    field_at(n)); a quantifier compiles its body at each degree it ranges
+    over.  Literals become payloads once, the term operators are the
+    field's payload_add, payload_sub and payload_mul, and an equation
+    compares payloads.  A quantifier writes each payload of its field, in
+    element order, into the environment and restores the shadowed value on
+    exit.  When it moves to a bigger ambient field it lifts the outer
+    values with lift_payload, and puts them back afterwards.  A witness
+    travels as a tuple of (name, text) pairs, outer binders first; dict()
+    of the final tuple keeps each name's first position and last value, as
+    merging dicts at every step would.
+    """
+    compiled: dict[tuple[int, int], Callable] = {}  # (id(node), degree) -> code
+
+    def code(f, n: int):
+        key = (id(f), n)
+        fn = compiled.get(key)
+        if fn is None:
+            fn = compiled[key] = formula(f, n)
+        return fn
+
+    def term(t, fld: FieldDescriptor):
+        if isinstance(t, Var):
+            return itemgetter(t.name)
+        if isinstance(t, Lit):
+            c = fld.payload_from_int(t.value)
+            return lambda env: c
+        op = (fld.payload_add if isinstance(t, Add)
+              else fld.payload_sub if isinstance(t, Sub) else fld.payload_mul)
+        left, right = term(t.left, fld), term(t.right, fld)
+        return lambda env: op(left(env), right(env))
+
+    def formula(f, n: int):
         if isinstance(f, Eq):
-            fld = field_at(ambient)
-            return _eval_term(f.left, env, fld) == _eval_term(f.right, env, fld), {}, ambient
+            fld = field_at(n)
+            left, right = term(f.left, fld), term(f.right, fld)
+            true, false = (True, (), n), (False, (), n)
+            return lambda env: true if left(env) == right(env) else false
         if isinstance(f, Not):
-            v, w, lvl = ev(f.body, env, ambient)
-            return (None if v is None else not v), w, lvl
+            body = formula(f.body, n)
+
+            def negation(env):
+                v, w, lvl = body(env)
+                return (None if v is None else not v), w, lvl
+
+            return negation
         if isinstance(f, (And, Or)):
             decisive = isinstance(f, Or)  # the value that short-circuits
-            lv, lw, ll = ev(f.left, env, ambient)
-            if lv is decisive:
-                return lv, lw, ll
-            rv, rw, rl = ev(f.right, env, ambient)
-            if rv is decisive:
-                return rv, rw, rl
-            if lv is None or rv is None:
-                return None, None, None
-            return (not decisive), {**lw, **rw}, max(ll, rl)
-        hunting = isinstance(f, Exists)  # the decisive value for this quantifier
-        ambients, blocked = extensions(ambient)
-        saw_unknown = False
-        survivor_level = ambient
-        for m in ambients:
-            env_m = env if m == ambient else {k: lift(v, m) for k, v in env.items()}
-            for x in field_at(m).elements():
-                v, w, lvl = ev(f.body, {**env_m, f.var: x}, m)
-                if v is hunting:
-                    return v, {f.var: str(x), **w}, max(m, lvl)
-                if v is None:
-                    saw_unknown = True
-                else:
-                    survivor_level = max(survivor_level, lvl)
-        if blocked or saw_unknown:
-            return None, None, None
-        return (not hunting), {}, survivor_level
+            first, second = formula(f.left, n), formula(f.right, n)
 
-    return ev(sentence, {}, 1)
+            def connective(env):
+                lv, lw, ll = first(env)
+                if lv is decisive:
+                    return lv, lw, ll
+                rv, rw, rl = second(env)
+                if rv is decisive:
+                    return rv, rw, rl
+                if lv is None or rv is None:
+                    return None, None, None
+                return (not decisive), lw + rw, max(ll, rl)
+
+            return connective
+        return quantifier(f, n)
+
+    def quantifier(f: _Quantifier, n: int):
+        var, hunting = f.var, isinstance(f, Exists)  # hunting: this quantifier's decisive value
+        ambients, blocked = extensions(n)
+        small = field_at(n)
+
+        def search(env):
+            shadowed = env.get(var, _UNBOUND)
+            outer = None  # the degree-n values of the other variables, once a lift replaces them
+            saw_unknown = False
+            survivor_level = n
+            found = None
+            for m in ambients:
+                if m != n:
+                    if outer is None:
+                        outer = {k: v for k, v in env.items() if k != var}
+                    env.update({k: lift_payload(small, v, m) for k, v in outer.items()})
+                body, fld = code(f.body, m), field_at(m)
+                for x in fld.payloads():
+                    env[var] = x
+                    v, w, lvl = body(env)
+                    if v is hunting:
+                        found = v, ((var, fld.payload_format(x)),) + w, max(m, lvl)
+                        break
+                    if v is None:
+                        saw_unknown = True
+                    elif lvl > survivor_level:
+                        survivor_level = lvl
+                if found is not None:
+                    break
+            if outer is not None:
+                env.update(outer)
+            if shadowed is _UNBOUND:
+                del env[var]
+            else:
+                env[var] = shadowed
+            if found is not None:
+                return found
+            if blocked or saw_unknown:
+                return None, None, None
+            return (not hunting), (), survivor_level
+
+        return search
+
+    value, witness, level = code(sentence, 1)({})
+    return value, None if witness is None else dict(witness), level
 
 
 def eval_finite(sentence, field: FieldDescriptor) -> bool:

@@ -130,20 +130,22 @@ def _project(pair: EigenPair, coords: StateVector) -> StateVector:
     return Matrix.from_columns(coords.owner, pair.basis) @ coords
 
 
-def _orthogonalize(basis: tuple[StateVector, ...]) -> list[StateVector] | None:
-    """Greedy Gram-Schmidt in input order; None on an isotropic pivot.
+def _orthogonalize(basis: tuple[StateVector, ...]) -> list[tuple[StateVector, Element]] | None:
+    """Greedy Gram-Schmidt in input order: each orthogonal vector u with its
+    <u, u>, computed once; None on an isotropic pivot.
 
     No reordering heuristics: the first vanishing <u, u> aborts, which keeps
     the procedure deterministic and surfaces genuinely isotropic eigenspaces.
     """
-    ortho: list[StateVector] = []
+    ortho: list[tuple[StateVector, Element]] = []
     for v in basis:
         u = v
-        for w in ortho:
-            u = u - w.scale(herm_form(w, u) / herm_form(w, w))
-        if herm_form(u, u).is_zero():
+        for w, norm in ortho:
+            u = u - w.scale(herm_form(w, u) / norm)
+        norm = herm_form(u, u)
+        if norm.is_zero():
             return None
-        ortho.append(u)
+        ortho.append((u, norm))
     return ortho
 
 
@@ -163,9 +165,9 @@ def measure(obs: Observable, psi: StateVector) -> MeasurementReport:
         weight = None
         if ortho is not None:
             weight = obs.owner.zero()
-            for b in ortho:
+            for b, norm in ortho:
                 c = herm_form(b, psi)
-                weight = weight + c.conj() * c / herm_form(b, b)
+                weight = weight + c.conj() * c / norm
         outcomes.append(
             MeasurementOutcome(pair.value, projected, not projected.is_zero(), weight)
         )

@@ -12,9 +12,12 @@ FpQuotientField: PrimeField is its degree-1 case F_p[t]/(t), and QuadExt
 and the internal tower fields of the closure evaluator extend it too.  So
 all finite elements share one representation (padded coefficient tuples),
 one arithmetic, equality, hash and enumeration, in payload order, which is
-also sort_key's.  Subclasses add checks, naming and, for QuadExt, the
-Frobenius involution; each keeps elements = FpQuotientField.elements in its
-own body only because perfbench/spans.py wraps that entry per class.
+also sort_key's.  payloads() lists the field in that order, and elements()
+wraps it, so the closure search, which loops over payloads, and callers
+that want Elements see one order.  Subclasses add checks, naming and, for
+QuadExt, the Frobenius involution; each keeps elements =
+FpQuotientField.elements in its own body only because perfbench/spans.py
+wraps that entry per class.
 
 That arithmetic has two routes to the same answers.  The polynomial route
 (_fppoly's mulmod, invmod and powmod on coefficient tuples, and
@@ -53,6 +56,7 @@ import itertools
 import math
 import sys
 from fractions import Fraction
+from functools import partial
 from typing import Iterator
 
 from . import _fppoly
@@ -177,6 +181,10 @@ class FieldDescriptor:
 
     def one(self) -> Element:
         return Element(self, self.payload_from_int(1))
+
+    def payloads(self) -> Iterator:
+        """Every element's payload, in canonical element order."""
+        raise FieldNotFinite(f"{self.shorthand()} is not finite")
 
     def elements(self) -> Iterator[Element]:
         raise FieldNotFinite(f"{self.shorthand()} is not finite")
@@ -385,10 +393,13 @@ class FpQuotientField(FieldDescriptor):
     def payload_involute(self, a):
         return a
 
+    def payloads(self) -> Iterator[tuple[int, ...]]:
+        """Every payload, in canonical element order: tuples ascending."""
+        return itertools.product(range(self.p), repeat=self.degree)
+
     def elements(self) -> Iterator[Element]:
-        """Every element, in canonical order: payload tuples ascending."""
-        for tup in itertools.product(range(self.p), repeat=self.degree):
-            yield Element(self, tup)
+        """Every element, in the order of payloads()."""
+        return map(partial(Element, self), self.payloads())
 
     def fixed_elements(self) -> tuple[Element, ...]:
         """The fixed field of the involution, in canonical element order.

@@ -64,6 +64,25 @@ def test_tensor_op_acts_factorwise():
         assert lhs == tensor_state(ax, by).vector
 
 
+def _ref_tensor_op(a, b):
+    """The Kronecker product entry by entry, with Element products."""
+    return Matrix(a.owner, [[a.entry(i, j) * b.entry(k, l)
+                             for j in range(a.cols) for l in range(b.cols)]
+                            for i in range(a.rows) for k in range(b.rows)])
+
+
+@pytest.mark.parametrize("field", BACKENDS + [QuadExt(5, 2)], ids=str)
+def test_payload_tensor_products_match_the_entrywise_ones(field):
+    rng = random.Random(67)
+    for shape_a, shape_b in [((1, 1), (2, 3)), ((2, 3), (3, 1)), ((3, 3), (3, 3))]:
+        a, b = random_matrix(rng, field, *shape_a), random_matrix(rng, field, *shape_b)
+        assert tensor_op(a, b) == _ref_tensor_op(a, b)
+        x = random_state(rng, field, shape_a[0])
+        y = random_state(rng, field, shape_b[1])
+        want = StateVector(field, [c * d for c in x.entries for d in y.entries])
+        assert tensor_state(x, y) == BipartiteState((x.dim, y.dim), want)
+
+
 def test_tensor_op_of_unitaries_is_unitary():
     rng = random.Random(61)
     for field in (F9, QI):

@@ -21,6 +21,8 @@ from exactqt import (
     char_poly,
     conj_transpose,
     eigen_decompose,
+    eval_closure,
+    eval_finite,
     herm_form,
     involute,
     is_fixed,
@@ -31,6 +33,7 @@ from exactqt import (
     solve,
 )
 from exactqt import _ffroots, _gaussint, starfield
+from exactqt.compose import tensor_op, tensor_state
 from exactqt._tower import tower_field
 from exactqt.errors import DimensionMismatch, FieldMismatch, Inconsistent, NonSquare
 from exactqt.sampling import (
@@ -941,8 +944,9 @@ def _field_calls(monkeypatch, call) -> tuple[int, int, object]:
 @pytest.mark.parametrize("field", [PrimeField(7), QuadExt(3, 1), QuadExt(5, 2), QI], ids=str)
 def test_linear_algebra_builds_no_element_beyond_its_result(monkeypatch, field):
     """Guards the payload store: an operation on vectors and matrices that
-    returns vectors or matrices builds no Element and coerces nothing, and
-    herm_form builds its one result."""
+    returns vectors or matrices builds no Element and coerces nothing (the
+    Kronecker products of compose included), and herm_form builds its one
+    result."""
     rng = random.Random(41)
     m = random_matrix(rng, field, 4, 4)
     singular = Matrix(field, list(m.entries[:3]) + [m.entries[0]])
@@ -964,11 +968,23 @@ def test_linear_algebra_builds_no_element_beyond_its_result(monkeypatch, field):
         "vector +": lambda: v + w,
         "vector -": lambda: v - w,
         "vector scale": lambda: v.scale(c),
+        "tensor_op": lambda: tensor_op(m, singular),
+        "tensor_state": lambda: tensor_state(v, w),
     }
     for name, call in calls.items():
         assert _field_calls(monkeypatch, call)[:2] == (0, 0), name
     built, coerced, value = _field_calls(monkeypatch, lambda: herm_form(v, w))
     assert (built, coerced) == (1, 0) and value == _ref_herm_form(v, w)
+
+
+def test_the_closure_search_builds_no_element(monkeypatch):
+    """Guards the compiled closure search: it computes on payloads only.
+    The Element search it replaced built 12,320 Elements for this eval_closure."""
+    sentence = "A x . E y . y*y = x + 7"
+    first = eval_closure(sentence, 5)  # caches the generator images the lifts use
+    built, coerced, again = _field_calls(monkeypatch, lambda: eval_closure(sentence, 5))
+    assert (built, coerced) == (0, 0) and again == first and first.value is True
+    assert _field_calls(monkeypatch, lambda: eval_finite(sentence, QuadExt(5, 1)))[:2] == (0, 0)
 
 
 def test_matrix_entry_refuses_an_index_outside_the_matrix():

@@ -1,5 +1,6 @@
 """Sentence language, bounded closure evaluation, and curve intersection."""
 
+import json
 import random
 
 import pytest
@@ -20,12 +21,13 @@ from exactqt import (
     parse_ternary_polynomial,
     pretty,
 )
+from exactqt import lefschetz
 from exactqt.errors import NotHomogeneous, ParseError
 from exactqt.lefschetz import (
-    Add, And, Eq, Exists, Forall, Lit, Mul, Not, Or, Sub, Var, _eval_term, _random_sentence,
+    Add, And, Eq, Exists, Forall, Lit, Mul, Not, Or, Sub, Var, _random_sentence,
     _smallest_common_root,
 )
-from exactqt._tower import tower_field
+from exactqt._tower import lift, tower_field
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -415,9 +417,7 @@ def test_certified_existential_root_matches_direct_scan():
 
 
 def eval_finite_body(body, env, fld):
-    from exactqt.lefschetz import _eval_term
-
-    return _eval_term(body.left, env, fld) == _eval_term(body.right, env, fld)
+    return _ref_eval_term(body.left, env, fld) == _ref_eval_term(body.right, env, fld)
 
 
 def test_sample_per_prime_verdicts():
@@ -470,7 +470,7 @@ def test_sample_sorts_and_dedups_primes():
 def _naive_truth(f, field, env):
     """Truth over one finite field, by the textbook recursion on the tree as built."""
     if isinstance(f, Eq):
-        return _eval_term(f.left, env, field) == _eval_term(f.right, env, field)
+        return _ref_eval_term(f.left, env, field) == _ref_eval_term(f.right, env, field)
     if isinstance(f, Not):
         return not _naive_truth(f.body, field, env)
     if isinstance(f, (And, Or)):
@@ -504,6 +504,129 @@ def test_sample_verdicts_equal_closure_verdicts_on_shadowed_and_vacuous_trees(tr
     assert rep.verdicts == tuple((p, eval_closure(tree, p)) for p in primes)
     for field in (tower_field(2, 1), tower_field(2, 2), tower_field(3, 1)):
         assert eval_finite(tree, field) == _naive_truth(tree, field, {})
+
+
+# The search as it was before it was compiled: an interpreter over Elements,
+# the oracle for lefschetz._search.
+
+
+def _ref_eval_term(t, env: dict, field):
+    if isinstance(t, Var):
+        try:
+            return env[t.name]
+        except KeyError:
+            raise ValueError(f"unbound variable {t.name!r}") from None
+    if isinstance(t, Lit):
+        return field.element(t.value)
+    a = _ref_eval_term(t.left, env, field)
+    b = _ref_eval_term(t.right, env, field)
+    if isinstance(t, Add):
+        return a + b
+    if isinstance(t, Sub):
+        return a - b
+    return a * b
+
+
+def _ref_search(sentence, field_at, extensions):
+    """(value, witness, level) by walking the tree with Elements, lifting the
+    outer values with _tower.lift whenever a quantifier moves up a degree."""
+
+    def ev(f, env: dict, ambient: int):
+        if isinstance(f, Eq):
+            fld = field_at(ambient)
+            return _ref_eval_term(f.left, env, fld) == _ref_eval_term(f.right, env, fld), {}, ambient
+        if isinstance(f, Not):
+            v, w, lvl = ev(f.body, env, ambient)
+            return (None if v is None else not v), w, lvl
+        if isinstance(f, (And, Or)):
+            decisive = isinstance(f, Or)  # the value that short-circuits
+            lv, lw, ll = ev(f.left, env, ambient)
+            if lv is decisive:
+                return lv, lw, ll
+            rv, rw, rl = ev(f.right, env, ambient)
+            if rv is decisive:
+                return rv, rw, rl
+            if lv is None or rv is None:
+                return None, None, None
+            return (not decisive), {**lw, **rw}, max(ll, rl)
+        hunting = isinstance(f, Exists)  # the decisive value for this quantifier
+        ambients, blocked = extensions(ambient)
+        saw_unknown = False
+        survivor_level = ambient
+        for m in ambients:
+            env_m = env if m == ambient else {k: lift(v, m) for k, v in env.items()}
+            for x in field_at(m).elements():
+                v, w, lvl = ev(f.body, {**env_m, f.var: x}, m)
+                if v is hunting:
+                    return v, {f.var: str(x), **w}, max(m, lvl)
+                if v is None:
+                    saw_unknown = True
+                else:
+                    survivor_level = max(survivor_level, lvl)
+        if blocked or saw_unknown:
+            return None, None, None
+        return (not hunting), {}, survivor_level
+
+    return ev(sentence, {}, 1)
+
+
+_FINITE_FIELDS = (PrimeField(5), QuadExt(3, 1), tower_field(2, 2))
+_TEMPLATES = [text.format(a=a) for text in (
+    "E x . x*x + {a} = 0", "E x . E y . x*x + y*y + {a} = 0", "A x . E y . y*y = x + {a}")
+    for a in range(1, 13)]
+
+
+def _search_outputs(tree) -> list:
+    """Everything the search decides about tree, as JSON text where it is a
+    report: lefschetz_sample at (2, 3, 5), eval_closure at a wider and at a
+    tighter bound, and eval_finite over three finite fields."""
+    return [json.dumps(lefschetz_sample(tree, primes=(2, 3, 5)).to_json()),
+            json.dumps(eval_closure(tree, 2, max_level=3, ambient_bound=6).to_json()),
+            json.dumps(eval_closure(tree, 3, max_level=2, ambient_bound=2).to_json())] + [
+        eval_finite(tree, field) for field in _FINITE_FIELDS]
+
+
+def _closed(tree):
+    """tree with its free variables bound, alternately A and E."""
+    for k, name in enumerate(sorted(free_variables(tree))):
+        tree = (Exists if k % 2 else Forall)(name, tree)
+    return tree
+
+
+def _quantifier_depth(f) -> int:
+    if isinstance(f, Eq):
+        return 0
+    if isinstance(f, Not):
+        return _quantifier_depth(f.body)
+    if isinstance(f, (And, Or)):
+        return max(_quantifier_depth(f.left), _quantifier_depth(f.right))
+    return 1 + _quantifier_depth(f.body)
+
+
+def _with_template_examples(test):
+    for text in _TEMPLATES:
+        test = example(parse_sentence(text))(test)
+    return test
+
+
+@_with_template_examples
+@given(st.one_of(st.integers(0, 2**32 - 1).map(lambda seed: _random_sentence(random.Random(seed))),
+                 _FORMULAS.map(_closed).filter(lambda f: _quantifier_depth(f) <= 2)))
+@example(SHADOWED_OR_VACUOUS[0])
+@example(SHADOWED_OR_VACUOUS[5])
+# an inner binder shadows x, then the outer x is read again
+@example(Exists("x", And(Exists("x", Eq(X, Lit(1))), Eq(X, Lit(0)))))
+# an inner quantifier lifts x to a bigger field, then x is read at its own degree
+@example(Exists("x", And(Forall("y", Eq(Var("y"), Var("y"))), Eq(X, Lit(1)))))
+# two witnesses merge, the left one's names first, at the higher of their levels
+# (2 for x*x + 1 = 0 at p = 3); a name found twice keeps the right value
+@example(And(Exists("y", Eq(Var("y"), Lit(0))), Exists("x", Eq(Add(Mul(X, X), Lit(1)), Lit(0)))))
+@example(And(Exists("x", Eq(X, Lit(1))), Exists("x", Eq(X, Lit(0)))))
+def test_compiled_search_matches_the_element_search(tree):
+    compiled = _search_outputs(tree)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lefschetz, "_search", _ref_search)
+        assert _search_outputs(tree) == compiled
 
 
 def test_ternary_form_parsing():

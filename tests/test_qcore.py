@@ -19,6 +19,7 @@ from exactqt import (
     probability_profile,
     projector_onto,
 )
+from exactqt import qcore
 from exactqt.errors import (
     ImpossibleOutcome,
     IncompleteSpectrum,
@@ -42,6 +43,30 @@ QI = GaussianRationals()
 def test_make_observable_demands_hermitian():
     with pytest.raises(NotHermitian):
         make_observable(Matrix(F9, [["0", "1"], ["t", "0"]]))
+
+
+@pytest.mark.parametrize("eigenvalues, calls", [((0, 1, 2, 3, 4), 11), ((0, 0, 2, 3, 4), 12)])
+def test_measure_computes_each_form_value_once(monkeypatch, eigenvalues, calls):
+    """Over F_625 at dim 5: one <b, b> per orthogonalized vector b, shared by
+    the Gram-Schmidt step and the Born weight, one <b, psi> per vector, one
+    <w, v> per Gram-Schmidt projection, and <psi, psi> once."""
+    f = QuadExt(5, 2)
+    obs = make_observable(Matrix.diagonal(f, eigenvalues))
+    psi = StateVector(f, ["1", "t", "2", "1+t", "3"])
+    seen = []
+
+    def counting(x, y):
+        seen.append((x, y))
+        return herm_form(x, y)
+
+    monkeypatch.setattr(qcore, "herm_form", counting)
+    report = measure(obs, psi)
+    assert len(seen) == calls
+    assert sum(x == y != psi for x, y in seen) == 5
+    assert sum(y == psi != x for x, y in seen) == 5
+    assert seen.count((psi, psi)) == 1
+    weights = [o.born_weight for o in report.outcomes]
+    assert sum(weights[1:], weights[0]) == report.total_form_value
 
 
 def test_f9_reference_measurement():
