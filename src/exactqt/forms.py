@@ -48,6 +48,11 @@ def _require(value, kinds, what: str) -> None:
         raise TypeError(f"expected {what}, got {type(value).__name__}")
 
 
+def _refuse_str(seq) -> None:
+    if isinstance(seq, str):  # it would split silently into characters
+        raise TypeError(f"expected a sequence, got str {seq!r}")
+
+
 def _coerce(owner: FieldDescriptor, value):
     """owner's payload for value, coerced as FieldDescriptor.element does."""
     if type(value) is Element and value.owner is owner:
@@ -127,6 +132,7 @@ class StateVector(_Payloads):
     _shape_differs = "{} vs {}"
 
     def __init__(self, owner: FieldDescriptor, entries: Sequence):
+        _refuse_str(entries)
         if len(entries) < 1:
             raise DimensionMismatch("vectors need at least one entry")
         self.owner = owner
@@ -173,6 +179,8 @@ class Matrix(_Payloads):
     _shape_differs = "matrix shapes differ"
 
     def __init__(self, owner: FieldDescriptor, rows: Sequence[Sequence]):
+        for r in (rows, *rows):
+            _refuse_str(r)
         if len(rows) < 1 or len(rows[0]) < 1:
             raise DimensionMismatch("matrices need at least one row and column")
         width = len(rows[0])
@@ -319,6 +327,7 @@ class Polynomial:
     __slots__ = ("owner", "coeffs")
 
     def __init__(self, owner: FieldDescriptor, coeffs: Sequence):
+        _refuse_str(coeffs)
         elems = [owner.element(c) for c in coeffs]
         while elems and elems[-1].is_zero():
             elems.pop()

@@ -29,7 +29,6 @@ its primes.
 from __future__ import annotations
 
 import itertools
-import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -654,33 +653,6 @@ class SampleReport:
         }
 
 
-def _random_term(rng: random.Random, names, depth: int):
-    if depth == 0 or rng.random() < 0.4:
-        if names and rng.random() < 0.7:
-            return Var(rng.choice(names))
-        return Lit(rng.randrange(3))
-    ctor = rng.choice((Add, Sub, Mul))
-    return ctor(_random_term(rng, names, depth - 1), _random_term(rng, names, depth - 1))
-
-
-def _random_matrix(rng: random.Random, names, depth: int):
-    if depth == 0 or rng.random() < 0.5:
-        return Eq(_random_term(rng, names, 2), _random_term(rng, names, 2))
-    r = rng.random()
-    if r < 0.25:
-        return Not(_random_matrix(rng, names, depth - 1))
-    ctor = And if r < 0.625 else Or
-    return ctor(_random_matrix(rng, names, depth - 1), _random_matrix(rng, names, depth - 1))
-
-
-def _random_sentence(rng: random.Random):
-    names = ["x", "y"][: rng.choice((1, 1, 2))]
-    body = _random_matrix(rng, names, 2)
-    for name in reversed(names):
-        body = (Exists if rng.random() < 0.5 else Forall)(name, body)
-    return body
-
-
 def lefschetz_sample(sentence, primes=(2, 3, 5, 7, 11, 13, 17, 19, 23, 29),
                      max_level: int = 2, ambient_bound: int = 4) -> SampleReport:
     """Evaluate one sentence over the closures of several primes.
@@ -816,11 +788,6 @@ def parse_ternary_polynomial(text: str, field: FieldDescriptor) -> TernaryForm:
         key = tuple(expo)
         monomials[key] = monomials.get(key, field.zero()) + coeff
     return TernaryForm(field, monomials)
-
-
-# Always empty: perfbench/spans.py still reads both names (ROADMAP item 5).
-_SQRT_TABLES: dict = {}
-_AS_TABLES: dict = {}
 
 
 def _smallest_common_root(f1: list[Element], g1: list[Element], field) -> Element | None:

@@ -248,7 +248,8 @@ def test_report_is_deterministic():
 def _antilinear_points(mhat, level):
     """Exhaustive projective scan for psi with M psi^gamma proportional to psi."""
     pts = []
-    for psi in autocode._projective_reps(mhat.owner, mhat.rows):
+    for coords in autocode._normalized_coordinates(mhat.owner.elements(), mhat.rows):
+        psi = StateVector(mhat.owner, coords)
         w = mhat @ psi.conj()
         pivot = next(i for i in range(psi.dim) if not psi[i].is_zero())
         lam = w[pivot]

@@ -545,6 +545,57 @@ def test_char_poly_matches_element_bareiss(field, data):
     assert char_poly(m) == _ref_char_poly(m)
 
 
+def _gaussian_primes_over(p: int) -> list:
+    """The Gaussian primes over the rational prime p, one per associate class:
+    1+i over 2, p itself when p = 3 (mod 4), and a+bi, a-bi with a^2 + b^2 = p
+    (found by search) when p = 1 (mod 4)."""
+    if p == 2:
+        return [(1, 1)]
+    if p % 4 == 3:
+        return [(p, 0)]
+    a, b = next((a, math.isqrt(p - a * a)) for a in range(1, math.isqrt(p) + 1)
+                if math.isqrt(p - a * a) ** 2 == p - a * a)
+    return [(a, b), (a, -b)]
+
+
+def _gaussian_divisors(z: tuple) -> set:
+    """Every divisor of the nonzero Gaussian integer z, all four unit multiples
+    included, by brute force: trial division finds the rational primes of N(z),
+    and exact Gaussian division takes each Gaussian prime's exponent in z."""
+    def exact_div(u, v):
+        t, n = _gaussint.gmul(u, _gaussint.gconj(v)), _gaussint.gnorm(v)
+        return None if t[0] % n or t[1] % n else (t[0] // n, t[1] // n)
+
+    n, primes, p = _gaussint.gnorm(z), [], 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    primes += [n] if n > 1 else []
+    divs, rest = [(1, 0)], z
+    for pi in (pi for p in primes for pi in _gaussian_primes_over(p)):
+        powers, grown = divs, list(divs)
+        while (quot := exact_div(rest, pi)) is not None:
+            rest, powers = quot, [_gaussint.gmul(d, pi) for d in powers]
+            grown += powers
+        divs = grown
+    assert _gaussint.gnorm(rest) == 1, z
+    return {_gaussint.gmul(u, d) for u in ((1, 0), (0, 1), (-1, 0), (0, -1)) for d in divs}
+
+
+def test_gaussian_divisor_oracle_matches_a_scan():
+    # d divides z exactly when N(d) divides both parts of z * conj(d), and then N(d) <= N(z)
+    for z in itertools.product(range(-6, 7), repeat=2):
+        if z == (0, 0):
+            continue
+        r = math.isqrt(_gaussint.gnorm(z))
+        scan = {d for d in itertools.product(range(-r, r + 1), repeat=2) if d != (0, 0)
+                and all(c % _gaussint.gnorm(d) == 0 for c in _gaussint.gmul(z, _gaussint.gconj(d)))}
+        assert _gaussian_divisors(z) == scan, z
+
+
 def _divisor_roots(poly: Polynomial) -> list:
     """The Q(i) roots of poly by exhaustive search: after scaling mu = D*x to
     a monic Z[i] polynomial x^k * q, every nonzero root divides q(0)."""
@@ -556,7 +607,7 @@ def _divisor_roots(poly: Polynomial) -> list:
     k0 = next(k for k, c in enumerate(scaled) if c != (0, 0))
     found = {QI.zero()} if k0 else set()
     if k0 < n:
-        for a, b in _gaussint.gaussian_divisors(scaled[k0]):
+        for a, b in _gaussian_divisors(scaled[k0]):
             lam = QI.element((a, b, d))
             if poly.evaluate(lam).is_zero():
                 found.add(lam)
@@ -722,6 +773,26 @@ def test_operands_of_the_wrong_type_raise_type_error():
         v.scale(3)
     with pytest.raises(TypeError, match="expected an Element, got int"):
         F9.one() / 2
+
+
+def test_state_vector_refuses_a_string_of_entries():
+    # a str would otherwise be split into one entry per character: [1, 2]
+    with pytest.raises(TypeError, match="expected a sequence, got str '12'"):
+        StateVector(F9, "12")
+
+
+def test_polynomial_refuses_a_string_of_coefficients():
+    with pytest.raises(TypeError, match="expected a sequence, got str '12'"):
+        Polynomial(F9, "12")
+
+
+def test_matrix_refuses_strings_as_rows_or_row_lists():
+    with pytest.raises(TypeError, match="expected a sequence, got str '12'"):
+        Matrix(F9, ["12", "21"])
+    with pytest.raises(TypeError, match="expected a sequence, got str '21'"):
+        Matrix(F9, [["1", "2"], "21"])
+    with pytest.raises(TypeError, match="expected a sequence, got str '12'"):
+        Matrix(F9, "12")
 
 
 # The Element-level products, Hermitian form and row reduction that forms

@@ -24,13 +24,41 @@ from exactqt import (
 from exactqt import lefschetz
 from exactqt.errors import NotHomogeneous, ParseError
 from exactqt.lefschetz import (
-    Add, And, Eq, Exists, Forall, Lit, Mul, Not, Or, Sub, Var, _random_sentence,
-    _smallest_common_root,
+    Add, And, Eq, Exists, Forall, Lit, Mul, Not, Or, Sub, Var, _smallest_common_root,
 )
 from exactqt._tower import lift, tower_field
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
+
+
+# Random sentences in one or two variables, for the oracles below.
+
+def _random_term(rng: random.Random, names, depth: int):
+    if depth == 0 or rng.random() < 0.4:
+        if names and rng.random() < 0.7:
+            return Var(rng.choice(names))
+        return Lit(rng.randrange(3))
+    ctor = rng.choice((Add, Sub, Mul))
+    return ctor(_random_term(rng, names, depth - 1), _random_term(rng, names, depth - 1))
+
+
+def _random_matrix(rng: random.Random, names, depth: int):
+    if depth == 0 or rng.random() < 0.5:
+        return Eq(_random_term(rng, names, 2), _random_term(rng, names, 2))
+    r = rng.random()
+    if r < 0.25:
+        return Not(_random_matrix(rng, names, depth - 1))
+    ctor = And if r < 0.625 else Or
+    return ctor(_random_matrix(rng, names, depth - 1), _random_matrix(rng, names, depth - 1))
+
+
+def _random_sentence(rng: random.Random):
+    names = ["x", "y"][: rng.choice((1, 1, 2))]
+    body = _random_matrix(rng, names, 2)
+    for name in reversed(names):
+        body = (Exists if rng.random() < 0.5 else Forall)(name, body)
+    return body
 
 
 def test_parse_basic_shapes():

@@ -24,6 +24,7 @@ from exactqt.errors import (
     ImpossibleOutcome,
     IncompleteSpectrum,
     NotHermitian,
+    NotOrthogonal,
     NotUnitary,
     WrongField,
     ZeroState,
@@ -195,6 +196,13 @@ def test_collapse_refuses_impossible_branch():
     obs = make_observable(Matrix.diagonal(F9, ["0", "1"]))
     with pytest.raises(ImpossibleOutcome):
         collapse(obs, StateVector(F9, ["1", "0"]), F9.element(1))
+
+
+def test_projector_refuses_vectors_that_are_not_orthogonal():
+    # both non-isotropic (<v, v> = 1 and 2), but <v, w> = 1
+    v, w = StateVector(QI, ["1", "0"]), StateVector(QI, ["1", "1"])
+    with pytest.raises(NotOrthogonal, match="vectors 0 and 1 are not orthogonal"):
+        projector_onto([v, w])
 
 
 def test_projector_laws_spot_check():

@@ -27,6 +27,7 @@ from exactqt import _fppoly, starfield
 from exactqt._tower import TowerField, tower_field
 from exactqt.errors import (
     DivisionByZero,
+    FieldNotFinite,
     NonPrimeCharacteristic,
     ParseError,
     ReducibleModulus,
@@ -244,6 +245,12 @@ def test_gaussian_norm_is_anisotropic():
             x = gaussian(re, im)
             if not x.is_zero():
                 assert not (involute(x) * x).is_zero()
+
+
+@pytest.mark.parametrize("listing", ["payloads", "elements", "fixed_elements"])
+def test_gaussian_rationals_refuse_to_list_their_elements(listing):
+    with pytest.raises(FieldNotFinite):
+        getattr(QI, listing)()
 
 
 def test_finite_norm_has_nontrivial_kernel_only_at_zero():
