@@ -17,14 +17,14 @@ flags only a linear map's incomplete spectrum.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
 from .embed import _build_inclusion, extend_matrix
 from .errors import DimensionMismatch, FieldMismatch, ImproperField, NonSquare, WrongField
-from .forms import Matrix, Polynomial, StateVector, eigen_decompose, rank
+from .forms import Matrix, StateVector, eigen_decompose, rank
 from .jsonio import _Record, matrix_to_json
+from .sampling import _norm_preimage
 from .starfield import Element, QuadExt
 
 # An eigenspace or norm class with more projective points than this lists
@@ -154,38 +154,6 @@ def _eigen_points(mhat: Matrix, level: int, notes: list):
     return pts, dec.complete
 
 
-@functools.lru_cache(maxsize=None)
-def _norm_minus_one(field: QuadExt) -> Element:
-    """An element nu of F_{q^2} with nu nu^gamma = -1, for odd p.
-
-    i, the first root of z^2 + 1, serves when it is fixed (N(i) = i^2).
-    Otherwise -1 is a non-square of F_q, so p = 3 (mod 4), and i^gamma = -i
-    gives N(a + b i) = a^2 + b^2 for a, b in F_p: the first b with -1 - b^2
-    a square mod p, and a = its root (-1 - b^2)^((p+1)/4), make nu.
-    """
-    i = Polynomial(field, [1, 0, 1]).roots()[0]
-    if i.is_fixed():
-        return i
-    p = field.p
-    for b in range(p):
-        c = (-1 - b * b) % p
-        a = pow(c, (p + 1) // 4, p)
-        if a * a % p == c:
-            return field.element(a) + field.element(b) * i
-    raise ArithmeticError("-1 is a sum of two squares mod p")  # unreachable
-
-
-def _norm_preimage(mu: Element) -> Element:
-    """A lambda with lambda lambda^gamma = mu, for mu in the fixed field F_q^*.
-
-    The first root z of z^2 - mu is fixed when mu is a square of F_q (always
-    in characteristic 2), and then N(z) = z^2 = mu.  Otherwise z^gamma = -z,
-    so N(z) = -mu and nu z, with N(nu) = -1, has norm mu.
-    """
-    z = Polynomial(mu.owner, [-mu, 0, 1]).roots()[0]
-    return z if z.is_fixed() else _norm_minus_one(mu.owner) * z
-
-
 def _descent_basis(mhat: Matrix, lam: Element, eigenbasis) -> list[StateVector]:
     """An F_q-basis of the vectors T fixes, T(v) = lam^-1 mhat v^gamma on E_mu.
 
@@ -212,7 +180,8 @@ def _descent_points(mhat: Matrix, level: int, notes: list):
 
     If mhat psi^gamma = lambda psi, then psi is an eigenvector of
     N = mhat mhat^gamma for mu = lambda lambda^gamma in F_q^*.  For each such
-    mu, with lambda any preimage, the fixed directions of multiplier norm mu
+    mu, with lambda any preimage (sampling._norm_preimage, shared with the
+    unitary generator), the fixed directions of multiplier norm mu
     are the points of P(Fix(T)) over F_q (see _descent_basis); each one's
     multiplier is read off its normalized representative, as the scan does.
     """

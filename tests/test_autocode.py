@@ -18,6 +18,7 @@ from exactqt import (
     eigen_decompose,
     fixed_points,
     involute,
+    sampling,
     solve,
     square_is_linear,
 )
@@ -315,8 +316,13 @@ def _points_by_level(report):
 def test_norm_preimages():
     for field in (F9, QuadExt(5, 1), QuadExt(3, 3), QuadExt(7, 1), QuadExt(2, 2)):
         for mu in field.fixed_elements()[1:]:
-            lam = autocode._norm_preimage(mu)
+            lam = sampling._norm_preimage(mu)
             assert lam * lam.conj() == mu
+    # 11 and 13 are non-squares mod 1009, so their preimages go through nu
+    big = QuadExt(1009, 1)
+    for mu in (1, 2, 11, 13, 1008):
+        lam = sampling._norm_preimage(big.element(mu))
+        assert lam * lam.conj() == big.element(mu)
 
 
 def test_a_norm_class_over_the_scan_limit_lists_a_basis():

@@ -1,5 +1,6 @@
 """Field-with-involution layer: arithmetic, conjugation, parsing, order."""
 
+import functools
 import itertools
 import math
 import random
@@ -18,12 +19,14 @@ from exactqt import (
     fixed_field_coordinates,
     involute,
     is_fixed,
+    is_hermitian,
+    is_unitary,
     make_field,
     no_cloning_witness,
     norm_one_elements,
     parse_field,
 )
-from exactqt import _fppoly, starfield
+from exactqt import _fppoly, sampling, starfield
 from exactqt._tower import TowerField, tower_field
 from exactqt.errors import (
     DivisionByZero,
@@ -231,10 +234,72 @@ def test_norm_lands_in_fixed_field(field):
         assert is_fixed(involute(x) * x)
 
 
-@pytest.mark.parametrize("field", [F9, F16, PrimeField(5)])
+def _norm_table(field):
+    """The whole-field oracle: norm payload -> every x of that norm, in element order."""
+    table = {}
+    for x in field.elements():
+        table.setdefault((x.conj() * x).payload, []).append(x)
+    return table
+
+
+# F_9, F_16, F_5, then F_4, F_25, F_49, F_64, F_81, F_{31^2}, F_2, F_7, F_13
+NORM_FIELDS = [F9, F16, PrimeField(5), F4, F25, QuadExt(7, 1), QuadExt(2, 3), QuadExt(3, 2),
+               QuadExt(31, 1), PrimeField(2), PrimeField(7), PrimeField(13)]
+
+
+@pytest.mark.parametrize("field", NORM_FIELDS)
 def test_norm_one_elements_are_the_unit_norm_scan(field):
     scan = [x for x in field.elements() if x.conj() * x == field.one()]
     assert norm_one_elements(field) == scan
+    # each pool is one root-found preimage times the norm-one group; the
+    # table lists every preimage of every s
+    table = _norm_table(field)
+    for s in field.fixed_elements():
+        assert sampling._norm_pool(field, s) == table.get(s.payload, [])
+
+
+def _seeded_draws(field):
+    rng = random.Random(29)
+    draws = [sampling.norm_split(rng, field) for _ in range(40)]
+    for dim in (2, 3) if field not in (F4, PrimeField(2)) else (2,):
+        draws.append(sampling.random_unitary(rng, field, dim))
+        draws.append(sampling.random_observable_matrix(rng, field, dim))
+    return draws
+
+
+def test_seeded_draws_are_those_of_the_norm_table_route(monkeypatch):
+    fields = NORM_FIELDS + [QI]
+    drawn = [_seeded_draws(field) for field in fields]
+    table = functools.lru_cache(maxsize=None)(_norm_table)
+    monkeypatch.setattr(sampling, "_norm_pool", lambda field, s: table(field).get(s.payload, []))
+    assert [_seeded_draws(field) for field in fields] == drawn
+    assert table.cache_info().currsize == len(NORM_FIELDS)
+
+
+@pytest.mark.parametrize("field", [QuadExt(31, 1), QuadExt(2, 5)], ids=lambda f: f.shorthand())
+def test_unitaries_and_observables_enumerate_no_field(field, monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"{self.shorthand()} was enumerated")
+
+    monkeypatch.setattr(starfield.FpQuotientField, "payloads", refuse)
+    sampling._norm_pool.cache_clear()
+    rng = random.Random(31)
+    for dim in (2, 3, 4):
+        assert is_unitary(sampling.random_unitary(rng, field, dim))
+        assert is_hermitian(sampling.random_observable_matrix(rng, field, dim))
+
+
+def test_a_unitary_over_f_1009_squared_within_ceiling():
+    # the whole-field norm table took 71 s here
+    field = QuadExt(1009, 1)
+    sampling._norm_pool.cache_clear()
+    start = time.monotonic()
+    u = sampling.random_unitary(random.Random(3), field, 4)
+    assert time.monotonic() - start <= 2.0
+    assert is_unitary(u)
+    phases = norm_one_elements(field)
+    assert len(phases) == 1010
+    assert all(x.conj() * x == field.one() for x in phases)
 
 
 def test_gaussian_norm_is_anisotropic():
