@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .embed import _build_inclusion, extend_matrix
+from .embed import _inclusion, extend_matrix
 from .errors import DimensionMismatch, FieldMismatch, ImproperField, NonSquare, WrongField
 from .forms import Matrix, StateVector, eigen_decompose, rank
 from .jsonio import _Record, matrix_to_json
@@ -240,7 +240,7 @@ def fixed_points(phi: SemilinearMap, max_ext: int = 3,
                     f"level {m}: skipped, the extended field's conjugation ignores the base "
                     "involution (pass include_form_incompatible to scan it anyway)")
                 continue
-        inc = _build_inclusion(base, m)
+        inc = _inclusion(base, m)
         mhat = extend_matrix(inc, phi.matrix)
         if phi.twist == 0:
             level_pts, top_complete = _eigen_points(mhat, m, notes)

@@ -5,7 +5,9 @@ conjugations (x -> x^q below, x -> x^{q^m} above) only agree on the small
 field when m is odd: on F_{q^2} the map x -> x^{q^m} is x -> x^{q^(m mod 2)}.
 Even m therefore gives a ring embedding that scrambles the involution, and
 build_embedding refuses it.  Every embedding built here is verified
-exhaustively on the small field before it is returned.
+exhaustively on the small field before it is first returned; each (field,
+m) is verified once per process, and later calls share that certified
+inclusion.
 """
 
 from __future__ import annotations
@@ -94,6 +96,31 @@ def _verify(small: QuadExt, big: QuadExt, image_of) -> EmbeddingCertificate:
     )
 
 
+# The certified inclusion per (small field descriptor value, m), built on a miss.
+_INCLUSIONS: dict[tuple[QuadExt, int], FieldEmbedding] = {}
+
+
+def _check_pair(small: QuadExt, m: int) -> None:
+    """Refuse a source that is not a QuadExt, and an m that is not an int
+    (bool included), before either is used as a cache key."""
+    if not isinstance(small, QuadExt):
+        raise WrongField("embeddings are built between quadratic extension fields")
+    if type(m) is not int:
+        raise ValueError(f"extension degree must be an integer, got {m!r}")
+
+
+def _inclusion(small: QuadExt, m: int) -> FieldEmbedding:
+    """The certified inclusion of small into its degree-m extension, built
+    and verified by _build_inclusion on the first request for its key."""
+    _check_pair(small, m)
+    if m < 1:
+        raise ValueError("extension degree must be positive")
+    emb = _INCLUSIONS.get((small, m))
+    if emb is None:
+        emb = _INCLUSIONS[(small, m)] = _build_inclusion(small, m)
+    return emb
+
+
 def _build_inclusion(small: QuadExt, m: int) -> FieldEmbedding:
     """Inclusion into the degree-m extension with no involution demand.
 
@@ -102,12 +129,8 @@ def _build_inclusion(small: QuadExt, m: int) -> FieldEmbedding:
     with Polynomial.roots and caches it), except m = 1
     where the identity map is the only sensible answer (the smallest root
     can be a conjugate of t, which would silently twist the field by
-    Frobenius).
+    Frobenius).  Callers go through _inclusion, which checks the arguments.
     """
-    if not isinstance(small, QuadExt):
-        raise WrongField("embeddings are built between quadratic extension fields")
-    if m < 1:
-        raise ValueError("extension degree must be positive")
     if m == 1:
         cert = _verify(small, small, lambda x: x)
         return FieldEmbedding(small, small, small.generator(), cert)
@@ -119,12 +142,11 @@ def _build_inclusion(small: QuadExt, m: int) -> FieldEmbedding:
 
 def build_embedding(small: QuadExt, m: int) -> FieldEmbedding:
     """Verified conjugation-preserving embedding of small into its degree-m extension."""
-    if not isinstance(small, QuadExt):
-        raise WrongField("embeddings are built between quadratic extension fields")
+    _check_pair(small, m)
     if m % 2 == 0:
         raise EvenExtensionDegree(
             f"extension degree {m} is even, so the conjugations disagree on the small field")
-    emb = _build_inclusion(small, m)
+    emb = _inclusion(small, m)
     if not emb.certificate.involution_compatible:
         raise ArithmeticError("odd extension failed involution compatibility")
     return emb

@@ -5,9 +5,10 @@ The language has terms built from variables, nonnegative integer literals,
 written "E x . body" and "A x . body".  Both evaluators run one quantifier
 search, which compiles the sentence to functions on field payloads, once
 per ambient degree, and loops its quantifiers over payloads in element
-order; it builds no Element (the inclusions' generator images, which
-_tower caches, aside).  eval_finite brute-forces a sentence over any
-finite field.
+order; an innermost quantifier, whose body holds no quantifier, evaluates
+its body as columns over blocks of payloads instead.  It builds no Element
+(the inclusions' generator images, which _tower caches, aside).
+eval_finite brute-forces a sentence over any finite field.
 eval_closure approximates truth over the algebraic closure of F_p: a
 quantifier whose ambient field has degree n may range over any extension
 of relative degree d = 1..max_level, moving the ambient up to degree n*d,
@@ -28,18 +29,20 @@ its primes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
+from operator import and_, eq, itemgetter, or_
 from typing import Callable, NamedTuple
 
+from ._ffroots import _Ring, field_roots
 from ._tower import lift_payload, tower_field
 from .errors import NotHomogeneous, ParseError
 from .forms import Polynomial
 from .jsonio import _Record
-from .starfield import Element, FieldDescriptor, PrimeField
+from .starfield import _TABLE_CAP, Element, FieldDescriptor, PrimeField
 
 
 @dataclass(frozen=True)
@@ -464,6 +467,136 @@ def _closed_sentence(sentence) -> _Prepared:
 
 _UNBOUND = object()  # marks a quantifier variable that shadows nothing
 
+# A field above starfield._TABLE_CAP elements is searched in blocks of this
+# many payloads, so a column never holds more.
+_BLOCK = 1024
+
+# The shapes of a compiled node of a quantifier-free body, by what it reads:
+# shape & 1 the outer variables, shape & 2 the quantified one.  The code of a
+# _CONST node is its value (a payload or a truth value), of a _SCALAR node a
+# function of the environment, of a _VARONLY node a function of a block (a
+# list of the variable's payloads) that keeps its column for the last block
+# it saw, and of a _COLUMN node a function of the environment that returns a
+# function of a block.
+_CONST, _SCALAR, _VARONLY, _COLUMN = 0, 1, 2, 3
+
+
+def _quantifier_free(f) -> bool:
+    if isinstance(f, Eq):
+        return True
+    if isinstance(f, Not):
+        return _quantifier_free(f.body)
+    return isinstance(f, _Binary) and _quantifier_free(f.left) and _quantifier_free(f.right)
+
+
+def _stage(node):
+    """A compiled column node as a function of the environment that returns
+    a function of a block; a value the block does not change repeats."""
+    shape, code = node
+    if shape == _CONST:
+        fixed = itertools.repeat(code)
+        return lambda env: lambda block: fixed
+    if shape == _SCALAR:
+        return lambda env: (lambda block, value=itertools.repeat(code(env)): value)
+    if shape == _VARONLY:
+        return lambda env: code
+    return code
+
+
+def _combine(op, left, right):
+    """The compiled node op(left, right): one map of op over a block where
+    either side reads the quantified variable."""
+    (ls, lc), (rs, rc) = left, right
+    shape = ls | rs
+    if shape == _CONST:
+        return _CONST, op(lc, rc)
+    if shape == _SCALAR:
+        if ls == _CONST:
+            return _SCALAR, lambda env: op(lc, rc(env))
+        if rs == _CONST:
+            return _SCALAR, lambda env: op(lc(env), rc)
+        return _SCALAR, lambda env: op(lc(env), rc(env))
+    if shape == _VARONLY:  # each side is a constant or a column of the block
+        memo = [None, None]
+
+        def column(block):
+            if memo[0] is not block:
+                memo[:] = block, list(map(op, lc(block) if ls else itertools.repeat(lc),
+                                          rc(block) if rs else itertools.repeat(rc)))
+            return memo[1]
+
+        return _VARONLY, column
+    left_at, right_at = _stage(left), _stage(right)
+
+    def bind(env):
+        lb, rb = left_at(env), right_at(env)
+        return lambda block: list(map(op, lb(block), rb(block)))
+
+    return _COLUMN, bind
+
+
+def _index(col: list, value):
+    """The first index of value in col, or None."""
+    try:
+        return col.index(value)
+    except ValueError:
+        return None
+
+
+def _lookup(column, value, hunting: bool):
+    """find(env) for the equation column == value, column a _VARONLY code
+    and value a node that does not read var: the first index of the value
+    in the column, or of a payload other than the value."""
+    shape, code = value
+
+    def find(env):
+        s = code if shape == _CONST else code(env)
+        if hunting:
+            return lambda block: _index(column(block), s)
+        return lambda block: next((i for i, c in enumerate(column(block)) if c != s), None)
+
+    return find
+
+
+def _finder(f, fld: FieldDescriptor, var: str, hunting: bool):
+    """Compile a quantifier-free body in var to find(env), a function of a
+    block that returns the first index where the body's value is hunting,
+    or None.  An equation between a _VARONLY term and a side that does not
+    read var goes to _lookup, which compares payloads with the value
+    directly; any other body searches its column of truth values."""
+    if isinstance(f, Eq):
+        left, right = _columns(f.left, fld, var), _columns(f.right, fld, var)
+        if right[0] == _VARONLY:
+            left, right = right, left  # == is symmetric
+        if left[0] == _VARONLY and right[0] in (_CONST, _SCALAR):
+            return _lookup(left[1], right, hunting)
+        shape, code = _combine(eq, left, right)
+    else:
+        shape, code = _columns(f, fld, var)
+
+    def find(env):
+        body = code(env) if shape == _COLUMN else code
+        return lambda block: _index(body(block), hunting)
+
+    return find
+
+
+def _columns(f, fld: FieldDescriptor, var: str):
+    """Compile a term or quantifier-free formula over fld for the column
+    path of the quantifier binding var: (shape, code), shapes as above.
+    Terms combine by the field's payload operations, equations by ==, and
+    connectives by & and | on truth values; !b is b == False."""
+    if isinstance(f, Var):
+        return (_VARONLY, lambda block: block) if f.name == var else (_SCALAR, itemgetter(f.name))
+    if isinstance(f, Lit):
+        return _CONST, fld.payload_from_int(f.value)
+    if isinstance(f, Not):
+        return _combine(eq, _columns(f.body, fld, var), (_CONST, False))
+    op = (fld.payload_add if isinstance(f, Add) else fld.payload_sub if isinstance(f, Sub)
+          else fld.payload_mul if isinstance(f, Mul) else eq if isinstance(f, Eq)
+          else and_ if isinstance(f, And) else or_)
+    return _combine(op, _columns(f.left, fld, var), _columns(f.right, fld, var))
+
 
 def _search(sentence, field_at, extensions):
     """The one quantifier search: (value, witness, level), value None for Unknown.
@@ -485,8 +618,24 @@ def _search(sentence, field_at, extensions):
     travels as a tuple of (name, text) pairs, outer binders first; dict()
     of the final tuple keeps each name's first position and last value, as
     merging dicts at every step would.
+
+    A quantifier whose body has no quantifier evaluates that body over a
+    whole block of payloads at once instead (_columns).  The sentence has
+    no vacuous quantifier (_closed_sentence strips them), so the body reads
+    the variable.  A term without the variable is a scalar, computed once
+    per entry after the lift; any other term is a column, one map of the
+    payload operation over the block; a term in the variable and literals
+    alone is computed once per block object.  A field of at most
+    _TABLE_CAP elements is one block, listed once per search, so those
+    columns serve every entry; a larger one is streamed in blocks of
+    _BLOCK payloads.  The witness is the payload at the first index where
+    the body's value is the decisive one (_finder); with none, the
+    quantifier is Unknown if a bound cut it off, and otherwise not decisive
+    at the last ambient degree, the level the element loop would report.
     """
     compiled: dict[tuple[int, int], Callable] = {}  # (id(node), degree) -> code
+    finders: dict[tuple[int, int], Callable] = {}  # (id(quantifier), degree) -> _finder code
+    listed: dict[int, list] = {}  # degree -> its field's payloads, for fields of one block
 
     def code(f, n: int):
         key = (id(f), n)
@@ -494,6 +643,19 @@ def _search(sentence, field_at, extensions):
         if fn is None:
             fn = compiled[key] = formula(f, n)
         return fn
+
+    def blocks(m: int):
+        """field_at(m)'s payloads in element order: one list, listed once per
+        search, up to _TABLE_CAP elements, and fresh blocks of _BLOCK above."""
+        block = listed.get(m)
+        if block is not None:
+            return (block,)
+        fld = field_at(m)
+        payloads = fld.payloads()  # raises FieldNotFinite for an infinite field
+        if fld.order > _TABLE_CAP:
+            return iter(lambda: list(itertools.islice(payloads, _BLOCK)), [])
+        block = listed[m] = list(payloads)
+        return (block,)
 
     def term(t, fld: FieldDescriptor):
         if isinstance(t, Var):
@@ -542,6 +704,8 @@ def _search(sentence, field_at, extensions):
         var, hunting = f.var, isinstance(f, Exists)  # hunting: this quantifier's decisive value
         ambients, blocked = extensions(n)
         small = field_at(n)
+        if _quantifier_free(f.body):
+            return column_search(f, var, hunting, ambients, blocked, small)
 
         def search(env):
             shadowed = env.get(var, _UNBOUND)
@@ -578,6 +742,31 @@ def _search(sentence, field_at, extensions):
             if blocked or saw_unknown:
                 return None, None, None
             return (not hunting), (), survivor_level
+
+        return search
+
+    def column_search(f: _Quantifier, var, hunting, ambients, blocked, small):
+        """The quantifier over a quantifier-free body in var: each block's
+        column of body values, searched for the first one that decides."""
+        n = ambients[0]
+
+        def search(env):
+            lifted = env
+            for m in ambients:
+                if m != n:
+                    lifted = {k: lift_payload(small, v, m) for k, v in env.items() if k != var}
+                key = (id(f), m)
+                find = finders.get(key)
+                if find is None:
+                    find = finders[key] = _finder(f.body, field_at(m), var, hunting)
+                first = find(lifted)
+                for block in blocks(m):
+                    i = first(block)
+                    if i is not None:
+                        return hunting, ((var, field_at(m).payload_format(block[i])),), m
+            if blocked:
+                return None, None, None
+            return (not hunting), (), ambients[-1]
 
         return search
 
@@ -808,9 +997,13 @@ def _specialize_x1(mono: dict, field, degree: int, y: Element) -> list[Element]:
     return out
 
 
-def _chart_scan(fm: TernaryForm, gm: TernaryForm, field) -> tuple[Element, Element, Element] | None:
+def _chart_scan(fm: TernaryForm, gm: TernaryForm, field,
+                resultant: Callable[[], list | None]) -> tuple[Element, Element, Element] | None:
     """First common projective zero in lex order over the normalized charts
-    (0:0:1), then (0:1:z) with z ascending, then (1:y:z) with (y, z) ascending."""
+    (0:0:1), then (0:1:z) with z ascending, then (1:y:z) with (y, z)
+    ascending.  The y tried there are the roots in field of resultant(),
+    the prime-field payloads of _z_resultant, or every y when it is None;
+    it is called only when the search reaches that chart."""
     zero, one = field.zero(), field.one()
     fz = fm.monomials.get((0, 0, fm.degree))
     gz = gm.monomials.get((0, 0, gm.degree))
@@ -822,13 +1015,64 @@ def _chart_scan(fm: TernaryForm, gm: TernaryForm, field) -> tuple[Element, Eleme
                                _specialize_x1(gx0, field, gm.degree, one), field)
     if z0 is not None:
         return (zero, one, z0)
-    for y in field.elements():
+    r = resultant()
+    if r is None:
+        ys = field.elements()
+    else:
+        lifted = [field.payload_from_int(c) for (c,) in r]
+        ys = [Element(field, y) for y in field_roots(field, lifted)]
+    for y in ys:
         z0 = _smallest_common_root(
             _specialize_x1(fm.monomials, field, fm.degree, y),
             _specialize_x1(gm.monomials, field, gm.degree, y), field)
         if z0 is not None:
             return (one, y, z0)
     return None
+
+
+def _z_resultant(f: TernaryForm, g: TernaryForm) -> list | None:
+    """R(y) = Res_z(f(1, y, z), g(1, y, z)) over the prime field, up to sign,
+    as payloads low degree first; None when R is zero (a common component)
+    or a form has no z, where every y must be scanned.
+
+    The determinant of the Sylvester matrix in z, whose entries lie in
+    F_p[y], by fraction-free Bareiss elimination (each step's division by
+    the previous pivot is exact).  A y with a common zero is a root of R:
+    specialising at y gives the Sylvester matrix of the two specialisations
+    at the degrees of f and g in z, singular when they share a root and, when
+    both leading coefficients vanish, with a zero first column.
+    """
+    ring = _Ring(f.owner)
+
+    def z_coefficients(form: TernaryForm) -> list[list]:
+        """Highest z-degree first, each a polynomial in y."""
+        coeffs: dict[int, list] = {}
+        for (_, j, k), c in form.monomials.items():
+            row = coeffs.setdefault(k, [])
+            row += [ring.zero] * (j + 1 - len(row))
+            row[j] = c.payload
+        return [ring.trim(coeffs.get(k, [])) for k in range(max(coeffs), -1, -1)]
+
+    a, b = z_coefficients(f), z_coefficients(g)
+    da, db = len(a) - 1, len(b) - 1
+    if da == 0 or db == 0:
+        return None
+    n = da + db
+    rows = [[[]] * i + a + [[]] * (db - 1 - i) for i in range(db)]
+    rows += [[[]] * i + b + [[]] * (da - 1 - i) for i in range(da)]
+    previous = [ring.one]
+    for k in range(n - 1):
+        pivot = next((i for i in range(k, n) if rows[i][k]), None)
+        if pivot is None:
+            return None
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        top = rows[k]
+        for row in rows[k + 1:]:
+            row[k + 1:] = [ring.exact_div(ring.combine(ring.sub, ring.product(row[j], top[k]),
+                                                       ring.product(row[k], top[j])), previous)
+                           for j in range(k + 1, n)]
+        previous = top[k]
+    return rows[n - 1][n - 1] or None
 
 
 @dataclass(frozen=True)
@@ -847,7 +1091,11 @@ def curves_meet(p: int, f, g, max_level: int = 4) -> CurvesMeetReport:
 
     Two plane curves always intersect over the full closure, so the verdict
     is either a concrete point (meet=True) or Unknown with bound_too_small
-    set; it is never False.
+    set; it is never False.  The point is the first common zero in the
+    order of _chart_scan.  In the (1:y:z) chart only the roots in F_{p^d}
+    of one resultant R(y) can carry a zero, so only they are tried.  R is
+    computed over F_p (_z_resultant) once, when the search first reaches
+    that chart; every y is scanned when R is zero or a form has no z.
     """
     base = PrimeField(p)
     if isinstance(f, str):
@@ -862,11 +1110,12 @@ def curves_meet(p: int, f, g, max_level: int = 4) -> CurvesMeetReport:
         raise ValueError("max_level must be positive")
     f_int = {e: c.payload for e, c in f.monomials.items()}
     g_int = {e: c.payload for e, c in g.monomials.items()}
+    resultant = functools.cache(lambda: _z_resultant(f, g))  # once, if a chart needs it
     for d in range(1, max_level + 1):
         fld = tower_field(p, d)
         fd = TernaryForm(fld, {e: fld.element(c) for e, c in f_int.items()})
         gd = TernaryForm(fld, {e: fld.element(c) for e, c in g_int.items()})
-        hit = _chart_scan(fd, gd, fld)
+        hit = _chart_scan(fd, gd, fld, resultant)
         if hit is not None:
             assert fd.evaluate(*hit).is_zero() and gd.evaluate(*hit).is_zero()
             return CurvesMeetReport(

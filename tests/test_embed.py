@@ -7,15 +7,19 @@ import pytest
 
 from exactqt import (
     Matrix,
+    PrimeField,
     QuadExt,
+    SemilinearMap,
     StateVector,
     build_embedding,
     eigen_decompose,
     extend_matrix,
     extend_state,
+    fixed_points,
     herm_form,
     involute,
 )
+from exactqt import embed
 from exactqt._tower import TowerField, _eval_at, _generator_image, lift, tower_field
 from exactqt.errors import EvenExtensionDegree, NoRootFound, WrongField
 from exactqt.sampling import random_state
@@ -191,3 +195,33 @@ def test_certificate_serializes():
     assert doc["small"] == {"kind": "quadext", "p": 3, "e": 1, "modulus": [1, 0, 1]}
     assert doc["big"]["e"] == 3
     assert doc["certificate"]["involution_compatible"] is True
+
+
+def test_cached_inclusion_keys_do_not_alias():
+    small = QuadExt(2, 1)
+    build_embedding(small, 3)  # (F_4, 3) is now cached
+    # 3.0 == 3 and True == 1 would find a cached key; "3" % 2 formats a string
+    for m in (3.0, True, "3"):
+        with pytest.raises(ValueError):
+            build_embedding(small, m)
+        with pytest.raises(ValueError):
+            embed._inclusion(small, m)
+    with pytest.raises(WrongField):
+        build_embedding(PrimeField(2), 3)
+    with pytest.raises(EvenExtensionDegree):
+        build_embedding(small, 0)
+    with pytest.raises(ValueError):
+        build_embedding(small, -1)
+
+
+def test_repeated_embeddings_and_fixed_points_verify_nothing(monkeypatch):
+    phi = SemilinearMap(Matrix(F9, [["0", "t"], ["1", "1"]]), 1)
+    monkeypatch.setattr(embed, "_INCLUSIONS", {})  # as in a process that built none yet
+    fresh = build_embedding(F9, 3).to_json(), fixed_points(phi, max_ext=3).to_json()
+    assert fresh[0] == embed._build_inclusion(F9, 3).to_json()
+    verified = []
+    verify = embed._verify
+    monkeypatch.setattr(embed, "_verify", lambda *args: verified.append(args) or verify(*args))
+    again = build_embedding(QuadExt(3, 1), 3).to_json(), fixed_points(phi, max_ext=3).to_json()
+    assert verified == []
+    assert again == fresh

@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -21,8 +22,8 @@ from exactqt import (
     parse_ternary_polynomial,
     pretty,
 )
-from exactqt import lefschetz
-from exactqt.errors import NotHomogeneous, ParseError
+from exactqt import lefschetz, parse_field
+from exactqt.errors import FieldNotFinite, NotHomogeneous, ParseError
 from exactqt.lefschetz import (
     Add, And, Eq, Exists, Forall, Lit, Mul, Not, Or, Sub, Var, _smallest_common_root,
 )
@@ -59,6 +60,25 @@ def _random_sentence(rng: random.Random):
     for name in reversed(names):
         body = (Exists if rng.random() < 0.5 else Forall)(name, body)
     return body
+
+
+def _random_nested_sentence(rng: random.Random):
+    """A closed sentence whose quantifiers, at most two deep, may sit under
+    !, & and | as well as at the front."""
+
+    def formula(bound, depth):
+        r = rng.random() if bound else 0.3 + 0.7 * rng.random()  # no bare ground leaf on top
+        if depth == 0 or r < 0.3 or (r >= 0.7 and len(bound) == 2):
+            return Eq(_random_term(rng, bound, 2), _random_term(rng, bound, 2))
+        if r < 0.45:
+            return Not(formula(bound, depth - 1))
+        if r < 0.7:
+            ctor = And if rng.random() < 0.5 else Or
+            return ctor(formula(bound, depth - 1), formula(bound, depth - 1))
+        name = "xy"[len(bound)]
+        return (Exists if rng.random() < 0.5 else Forall)(name, formula(bound + [name], depth - 1))
+
+    return formula([], 4)
 
 
 def test_parse_basic_shapes():
@@ -317,6 +337,17 @@ def test_eval_finite_known_sentences():
 def test_eval_finite_requires_closed():
     with pytest.raises(ValueError):
         eval_finite(parse_sentence("E x . x = y"), F3)
+
+
+def test_eval_finite_over_an_infinite_field_refuses_every_search():
+    gauss = parse_field("gaussian")
+    # an innermost quantifier (the column search), one with a quantifier in
+    # its body, and one beside a nested quantifier
+    for text in ("E x . x = x", "A x . E y . x*y = y*x", "E x . (A y . y = y) & x = 0"):
+        with pytest.raises(FieldNotFinite):
+            eval_finite(text, gauss)
+    # a vacuous quantifier is stripped, so nothing is enumerated
+    assert eval_finite("E x . 1 + 1 = 2", gauss) is True
 
 
 def test_existential_monotone_along_inclusions():
@@ -631,14 +662,33 @@ def _quantifier_depth(f) -> int:
     return 1 + _quantifier_depth(f.body)
 
 
+# One sentence per shape of the innermost (column) search's nodes, y the
+# quantified variable and x an outer one.
+_COLUMN_SHAPES = [
+    "A x . E y . y*y + y = x",             # var o var, against an outer scalar
+    "E x . A y . y*y - y = y*(y - 1) + x",  # var o var on both sides, a var o outer sum
+    "A x . E y . x*y = 1",                 # var o outer
+    "A x . E y . y = x*x + x - 1",         # outer o outer
+    "E x . A y . y + 2*2 = y + x",         # literal o literal inside a column
+    "A x . E y . 1 + 1 = 0 | y*y = x",      # a literal-only equation beside a column
+    "A x . E y . x = 0 | y*y = x",          # a connective of a scalar and a column
+    "E x . A y . !(x = 1) & !(y*y = y + x)",  # negated scalar and column, under &
+    "E x . A y . y*y = x",                 # a universal var-only equation, by lookup
+    "E x . A y . y - y = x",               # a constant var-only column: A y holds at x = 0
+    "E y . y*y*y = 2 + 1",                 # a var-only column against a literal
+]
+
+
 def _with_template_examples(test):
-    for text in _TEMPLATES:
+    for text in _TEMPLATES + _COLUMN_SHAPES:
         test = example(parse_sentence(text))(test)
     return test
 
 
 @_with_template_examples
 @given(st.one_of(st.integers(0, 2**32 - 1).map(lambda seed: _random_sentence(random.Random(seed))),
+                 st.integers(0, 2**32 - 1).map(
+                     lambda seed: _random_nested_sentence(random.Random(seed))),
                  _FORMULAS.map(_closed).filter(lambda f: _quantifier_depth(f) <= 2)))
 @example(SHADOWED_OR_VACUOUS[0])
 @example(SHADOWED_OR_VACUOUS[5])
@@ -655,6 +705,21 @@ def test_compiled_search_matches_the_element_search(tree):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lefschetz, "_search", _ref_search)
         assert _search_outputs(tree) == compiled
+
+
+@pytest.mark.parametrize("text", [
+    "E x . x*x = 2",             # 2 is a square mod 65537, first root past the first block
+    "A x . !(x*x = 2)",          # the same point as a counterexample, by a column of truths
+    "A x . x*x - x*x = x - x",   # a constant column: no counterexample in any block
+])
+def test_search_above_the_table_cap_streams_blocks_as_the_element_search_does(text):
+    big = PrimeField(65537)  # one more element than starfield._TABLE_CAP
+    tree = lefschetz._closed_sentence(text).stripped
+    args = (lambda n: big, lambda n: ([n], False))
+    value, witness, level = lefschetz._search(tree, *args)
+    assert (value, witness, level) == _ref_search(tree, *args)
+    if witness:  # the first root of x^2 - 2 lies past the first block
+        assert int(witness["x"]) >= lefschetz._BLOCK
 
 
 def test_ternary_form_parsing():
@@ -814,3 +879,110 @@ def random_conic(rng, field, monos):
         coeffs = {m: field.element(rng.randrange(field.order)) for m in monos}
         if any(not c.is_zero() for c in coeffs.values()):
             return TernaryForm(field, coeffs)
+
+
+def _monomials(degree: int):
+    return [(i, j, degree - i - j) for i in range(degree + 1) for j in range(degree + 1 - i)]
+
+
+def _form_text(coeffs: dict) -> str:
+    return " + ".join(f"{c}*x^{i}*y^{j}*z^{k}" for (i, j, k), c in sorted(coeffs.items()))
+
+
+def _form_product(a: dict, b: dict, p: int) -> dict:
+    out: dict = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(u + v for u, v in zip(ea, eb))
+            out[e] = (out.get(e, 0) + ca * cb) % p
+    return {e: c for e, c in out.items() if c}
+
+
+def _random_curve_pair(rng: random.Random):
+    """(p, f, g) as text: two random forms of degree 1-3 over F_p, either
+    drawn outright or with a planted shape: a common factor (the resultant
+    is zero), forms without z, or forms without a pure power of z (both
+    leading z-coefficients of the (1:y:z) chart are then polynomials in y)."""
+    p = rng.choice((2, 3, 5, 7))
+    shape = rng.choice(("plain", "plain", "common", "no z", "no z power"))
+
+    def form(degree, keep=lambda e: True):
+        monos = [e for e in _monomials(degree) if keep(e)]
+        while True:
+            coeffs = {e: rng.randrange(p) for e in monos}
+            coeffs = {e: c for e, c in coeffs.items() if c}
+            if coeffs:
+                return coeffs
+
+    if shape == "common":
+        common = form(1)
+        f = _form_product(common, form(rng.randint(0, 2)), p)
+        g = _form_product(common, form(rng.randint(0, 2)), p)
+    else:
+        keep = {"plain": lambda e: True, "no z": lambda e: e[2] == 0,
+                "no z power": lambda e: e[2] < sum(e)}[shape]
+        f = form(rng.randint(1, 3), keep)
+        g = form(rng.randint(1, 3), keep if rng.random() < 0.5 else (lambda e: True))
+    return p, _form_text(f), _form_text(g)
+
+
+@settings(max_examples=150)
+@given(st.integers(0, 2**32 - 1).map(lambda seed: _random_curve_pair(random.Random(seed))))
+@example((3, "x*y + y^2", "x + y"))                                   # no z at all
+@example((5, "x*z + y^2", "x + y"))                                   # one form without z
+@example((3, "x*y - x*z + y^2 - y*z", "x*y - x*z - y^2 + y*z"))       # common line y = z
+@example((7, "y*z + 6*x^2", "2*z^3 + y^3"))                           # first meet at level 6
+@example((5, "y*z - x*y + x^2", "y*z^2 + x^2*z + x^3"))               # leading coefficients y, y
+def test_curves_meet_by_resultant_matches_the_scan(case):
+    p, f, g = case
+    fast = curves_meet(p, f, g, max_level=3).to_json()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lefschetz, "_z_resultant", lambda f, g: None)
+        assert curves_meet(p, f, g, max_level=3).to_json() == fast
+    # every y of F_p and F_{p^2} at which the (1:y:z) specialisations share a
+    # zero is a root of the resultant
+    base = PrimeField(p)
+    fb, gb = parse_ternary_polynomial(f, base), parse_ternary_polynomial(g, base)
+    resultant = lefschetz._z_resultant(fb, gb)
+    if resultant is None:
+        return
+    for n in (1, 2):
+        fld = tower_field(p, n)
+        r = Polynomial(fld, [c for (c,) in resultant])
+        fd, gd = (lefschetz.TernaryForm(fld, {e: fld.element(c.payload) for e, c in h.monomials.items()})
+                  for h in (fb, gb))
+        for y in fld.elements():
+            meets = _smallest_common_root(
+                lefschetz._specialize_x1(fd.monomials, fld, fd.degree, y),
+                lefschetz._specialize_x1(gd.monomials, fld, gd.degree, y), fld) is not None
+            assert not meets or r.evaluate(y).is_zero()
+
+
+# Curves that meet only in degree-6 points: y*z = x^2 is the conic (t : t^2 : 1),
+# and each cubic pulls back to an irreducible sextic in t.
+_DEGREE_SIX = {7: "2*z^3 + y^3", 13: "z^3 + x*z^2 + y^3", 19: "2*z^3 + 4*x*z^2 + y^3"}
+
+
+@pytest.mark.parametrize("p, max_level, seconds", [(13, 4, 1.0), (7, 6, 1.0), (19, 6, 2.0)])
+def test_curves_meeting_in_degree_six_points_are_settled_within_a_ceiling(p, max_level, seconds):
+    f, g = f"y*z + {p - 1}*x^2", _DEGREE_SIX[p]
+    start = time.monotonic()
+    report = curves_meet(p, f, g, max_level=max_level)
+    assert time.monotonic() - start <= seconds
+    if max_level < 6:
+        assert (report.meet, report.bound_too_small, report.levels_scanned) == (None, True, max_level)
+        return
+    assert (report.meet, report.level, report.bound_too_small) == (True, 6, False)
+    fld = tower_field(p, 6)
+    point = [fld.element(c) for c in report.point]
+    for form in (f, g):
+        assert parse_ternary_polynomial(form, fld).evaluate(*point).is_zero()
+    if p == 7:  # the point the scan of every y finds
+        assert report.point == ("1", "t+t^3+t^5", "4t+4t^3+2t^5")
+
+
+def test_closure_sum_of_squares_sentence_stays_unknown_within_a_ceiling():
+    start = time.monotonic()
+    verdict = eval_closure("A x . A y . E z . z*z = x + y", 5)
+    assert time.monotonic() - start <= 5.0
+    assert verdict == lefschetz.TowerVerdict(None, False, None, None)
