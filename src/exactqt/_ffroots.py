@@ -19,13 +19,29 @@ choice is needed.  For odd p, some shift a in F_Q separates any two roots
 the shifts are taken in payload order.  For p = 2 they are the F_2-basis
 t^(k-1), ..., t^0: Tr(xy) is nondegenerate, so r != r' have
 Tr(t^i (r - r')) != 0 for some i, and k rounds separate every pair.
+
+Over Q = q^2 a polynomial whose coefficients the involution fixes (a
+Hermitian matrix's characteristic polynomial, say) lies in F_q[x], and is
+first solved over F_q by the same splitting with q for Q: g_1 = gcd(f, x^q
+- x), and shifts a in F_q, the F_p-combinations of QuadExt._fixed_basis
+taken lazily (for p = 2, that basis itself, with Tr to F_2 from F_q).  The
+shifts must lie in F_q: every element of F_q is a square in F_{q^2}, so a
+square test in F_{q^2} never tells two roots in F_q apart, and the
+exponent shrinks from (q^2-1)/2 to (q-1)/2.  Then g_1's roots, repeated
+ones included, are divided out of f.  Only a rest of degree 2 or more can
+have roots, all outside F_q, and it goes on to the F_{q^2} splitting above.
+Its first power continues the ladder already climbed mod f instead of
+starting again: x^(q^2) = (x^q)^q for p = 2, and for odd p x^((q^2-1)/2) =
+(x * x^((q-1)/2))^(q-1), both reduced mod the rest.  So roots outside F_q
+cost about as many top-level squarings as the F_{q^2} route alone, and
+exactly as many for p = 2.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .starfield import FieldDescriptor, FpQuotientField
+from .starfield import FieldDescriptor, FpQuotientField, QuadExt
 
 
 class _Ring:
@@ -122,6 +138,15 @@ class _Ring:
                 result = self.divmod(shifted, m)[1]
         return result
 
+    def power(self, a: list, e: int, m: list) -> list:
+        """a^e mod m for e >= 1, from e's leading bit: e = 2^j costs j squarings."""
+        result = a
+        for bit in bin(e)[3:]:
+            result = self.sqrmod(result, m)
+            if bit == "1":
+                result = self.divmod(self.product(result, a), m)[1]
+        return result
+
     def gcd(self, a: list, b: list) -> list:
         """The monic gcd of a and b; [] when both are zero."""
         while b:
@@ -133,7 +158,9 @@ def field_roots(field: FpQuotientField, coeffs) -> list:
     """The payloads of the distinct roots in field of a nonzero polynomial.
 
     coeffs are payloads, low degree first, with a nonzero last one.  The
-    roots come back in payload order, which is element order.
+    roots come back in payload order, which is element order.  Over F_{q^2}
+    a polynomial whose coefficients the involution fixes is first solved
+    over F_q, and only a rest of degree 2 or more goes on to F_{q^2}.
     """
     ring = _Ring(field)
     zero, one = ring.zero, ring.one
@@ -145,28 +172,70 @@ def field_roots(field: FpQuotientField, coeffs) -> list:
             del f[0]
     if len(f) < 2:
         return found
-    p, q, k = field.characteristic, field.order, field.degree
-    if p == 2:
-        x = xq = [zero, one]
-        for _ in range(k):
-            xq = ring.sqrmod(xq, f)
-        todo = [ring.gcd(f, ring.combine(ring.add, xq, x))]
-        # the F_2-basis t^(k-1), ..., t^0
-        shifts = iter([tuple(int(i == j) for i in range(k)) for j in range(k - 1, -1, -1)])
+    p, k = field.characteristic, field.degree
+    if isinstance(field, QuadExt) and all(field.payload_involute(c) == c for c in f):
+        q = field.q
+        s = _ladder_start(ring, p, q, f)
+        in_fq, g = _subfield_roots(ring, p, q, f, s,
+                                   field._fixed_basis if p == 2 else field._fixed_span())
+        found += in_fq
+        if len(f) - len(g) < 2:  # no room for a factor without roots in F_q
+            return sorted(found)
+        h = g
+        while len(h) > 1:  # strip g's roots with their multiplicities
+            f = ring.exact_div(f, h)
+            h = ring.gcd(f, h)
+        if len(f) < 3:
+            return sorted(found)
+        # the ladder goes on mod the rest: x^Q = (x^q)^q for p = 2, and for
+        # odd p x^((Q-1)/2) = (x * x^((q-1)/2))^(q-1)
+        if p == 2:
+            s = ring.power(ring.divmod(s, f)[1], q, f)
+        else:
+            s = ring.power(ring.divmod([zero] + s, f)[1], q - 1, f)
     else:
-        # f(0) != 0, so x^Q - x and x^(Q-1) - 1 = s^2 - 1 share their gcd
-        # with f; and gcd(g, s - 1) is the split by the shift a = 0.
-        s = ring.linear_power(zero, (q - 1) // 2, f)
+        s = _ladder_start(ring, p, field.order, f)
+    if p == 2:  # the F_2-basis t^(k-1), ..., t^0
+        shifts = [tuple(int(i == j) for i in range(k)) for j in range(k - 1, -1, -1)]
+    else:
+        shifts = itertools.product(range(p), repeat=k)
+    return sorted(found + _subfield_roots(ring, p, field.order, f, s, shifts)[0])
+
+
+def _ladder_start(ring: _Ring, p: int, order: int, f: list) -> list:
+    """x^order mod f for p = 2, x^((order-1)/2) mod f for odd p."""
+    if p == 2:
+        return ring.power([ring.zero, ring.one], order, f)
+    return ring.linear_power(ring.zero, (order - 1) // 2, f)
+
+
+def _subfield_roots(ring: _Ring, p: int, order: int, f: list, s: list, shifts) -> tuple[list, list]:
+    """The roots of f in its subfield F_order, and their product g.
+
+    f(0) != 0, and s is _ladder_start's power for order.  shifts are an
+    F_2-basis of F_order for p = 2, and every element of F_order, zero
+    first, for odd p.
+    """
+    zero, one = ring.zero, ring.one
+    shifts = iter(shifts)
+    if p == 2:
+        g = ring.gcd(f, ring.combine(ring.add, s, [zero, one]))
+        todo = [g]
+        k = order.bit_length() - 1
+    else:
+        # f(0) != 0, so x^order - x and x^(order-1) - 1 = s^2 - 1 share their
+        # gcd with f; and gcd(g, s - 1) is the split by the shift a = 0.
         g = ring.gcd(f, ring.combine(ring.sub, ring.sqrmod(s, f), [one]))
         d = ring.gcd(g, ring.combine(ring.sub, s, [one]))
         todo = [d, ring.divmod(g, d)[0]]
-        shifts = itertools.product(range(p), repeat=k)
         next(shifts)  # a = 0: the split just made
+        half = (order - 1) // 2
+    found = []
     while True:
         found += [ring.neg(h[0]) for h in todo if len(h) == 2]
         todo = [h for h in todo if len(h) > 2]
         if not todo:
-            return sorted(found)
+            return found, g
         a = next(shifts)
         split = []
         for h in todo:
@@ -177,7 +246,7 @@ def field_roots(field: FpQuotientField, coeffs) -> list:
                     trace = ring.combine(ring.add, trace, y)
                 d = ring.gcd(h, trace)
             else:
-                w = ring.linear_power(a, (q - 1) // 2, h)
+                w = ring.linear_power(a, half, h)
                 d = ring.gcd(h, ring.combine(ring.sub, w, [one]))
             split += [d, ring.divmod(h, d)[0]] if 1 < len(d) < len(h) else [h]
         todo = split

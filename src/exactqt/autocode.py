@@ -199,6 +199,12 @@ def _descent_points(mhat: Matrix, level: int, notes: list):
     return [(psi, lam) for _, _, psi, lam in found]
 
 
+def _in_subfield(v: StateVector, order: int) -> bool:
+    """Whether every coordinate c of v has c^order = c, on payloads."""
+    power = v.owner.payload_pow
+    return all(power(c, order) == c for c in v._data)
+
+
 def fixed_points(phi: SemilinearMap, max_ext: int = 3,
                  include_form_incompatible: bool = False) -> FixedPointReport:
     """Projective fixed points of phi over extension levels 1..max_ext.
@@ -249,7 +255,7 @@ def fixed_points(phi: SemilinearMap, max_ext: int = 3,
         subfield_orders = [base.order**k for k in levels_scanned if m % k == 0]
         levels_scanned.append(m)
         for rep, lam in level_pts:
-            if any(all(c**order == c for c in rep) for order in subfield_orders):
+            if any(_in_subfield(rep, order) for order in subfield_orders):
                 continue
             points.append(ProjectivePoint(
                 level=m,

@@ -15,18 +15,19 @@ read (entries, iteration, v[k], entry, row, column) or a scalar returned;
 the public constructors coerce outside input once.  On finite fields with
 log tables every step is a table lookup (see starfield).
 
-Polynomial arithmetic and char_poly compute on payload lists in
-_ffroots._Ring, the one polynomial ring for every field, Q(i) included;
-Polynomial wraps its results in Elements.  char_poly runs a fraction-free
-Bareiss elimination over that ring, which stays exact in every
-characteristic.  Eigenvalues come from Polynomial.roots: over finite
-fields, gcd(f, x^Q - x) split by equal degree (_ffroots), and over Q(i),
-Newton lifting of the squarefree part's roots from an inert prime
-p = 3 (mod 4) (so the owner-field spectrum is always complete, even when
-the closure spectrum is not).  Over Q(i) that lifting reads the
-coefficients' integer triples (a, b, d) directly (see starfield); the
-candidates share one denominator, so they are sorted as Gaussian integers
-before any element is built.
+Polynomial arithmetic computes on payload lists in _ffroots._Ring, the one
+polynomial ring for every field, Q(i) included; Polynomial wraps its
+results in Elements.  char_poly reduces the matrix to upper Hessenberg
+form by similarity and runs the three-term recurrence on payloads, which
+stays exact in every characteristic.  Eigenvalues come from
+Polynomial.roots: over finite fields, gcd(f, x^Q - x) split by equal
+degree (_ffroots), over the fixed field F_q first when the involution
+fixes every coefficient; and over Q(i), Newton lifting of the squarefree
+part's roots from an inert prime p = 3 (mod 4) (so the owner-field
+spectrum is always complete, even when the closure spectrum is not).
+Over Q(i) that lifting reads the coefficients' integer triples (a, b, d)
+directly (see starfield); the candidates share one denominator, so they
+are sorted as Gaussian integers before any element is built.
 """
 
 from __future__ import annotations
@@ -456,35 +457,60 @@ class Polynomial:
 
 
 def char_poly(m: Matrix) -> Polynomial:
-    """det(x*I - m) by fraction-free Bareiss elimination; monic of degree n.
+    """det(x*I - m), monic of degree n, by Hessenberg reduction and the
+    three-term recurrence (Cohen, A Course in Computational Algebraic
+    Number Theory, Alg. 2.2.9).
 
-    Bareiss's two-term update divides by the previous pivot, and that
-    division is exact in any integral domain, so no characteristic-specific
-    integer divisions appear (Leverrier-style traces would divide by k!).
-    The pivot at step k is the leading principal minor of order k + 1 of
-    x*I - m, which is monic, so no pivot is zero and no rows are swapped.
-    The sweep runs on payload lists in _Ring; one Polynomial is built at
-    the end.
+    The reduction is a similarity, so the characteristic polynomial is
+    kept.  Column j's pivot is the first nonzero entry from its subdiagonal
+    down, brought up by a row swap that a column swap mirrors; each row
+    below it is cleared by subtracting a multiple of the pivot row, and the
+    inverse operation adds that multiple of the cleared row's column to the
+    pivot's.  A column with no pivot is already reduced and is skipped.
+    With H upper Hessenberg, the characteristic polynomials p_k of its
+    leading k x k blocks satisfy p_k = (x - H[k-1][k-1]) p_(k-1) - sum over
+    i < k - 1 of H[i][k-1] H[i+1][i] ... H[k-1][k-2] p_i.  Both stages are
+    exact field operations on payloads, in every characteristic, and no
+    division by an integer appears; one Polynomial is built at the end.
     """
     if not m.is_square():
         raise NonSquare("characteristic polynomial needs a square matrix")
-    ring = _Ring(m.owner)
-    product, sub, one = ring.product, ring.sub, ring.one
+    f = m.owner
+    add, sub, mul, neg = f.payload_add, f.payload_sub, f.payload_mul, f.payload_neg
+    zero, one = f.zero_payload, f.payload_from_int(1)
     n = m.rows
-    work = [[ring.trim([ring.neg(a)] + ([one] if i == j else [])) for j, a in enumerate(row)]
-            for i, row in enumerate(m._payload_rows())]
-    prev = [one]
-    for k in range(n - 1):
-        top, pivot = work[k], work[k][k]
-        for row in work[k + 1:]:
-            for j in range(k + 1, n):
-                num = ring.combine(sub, product(pivot, row[j]), product(row[k], top[j]))
-                row[j] = ring.exact_div(num, prev)
-        prev = pivot
-    det = work[n - 1][n - 1]
-    if len(det) != n + 1 or det[-1] != one:
-        raise ArithmeticError("characteristic polynomial lost monicity")
-    return Polynomial._of_payloads(m.owner, det)
+    h = m._payload_rows()
+    for j in range(n - 2):
+        r = next((i for i in range(j + 1, n) if h[i][j] != zero), None)
+        if r is None:
+            continue
+        top = j + 1
+        if r != top:
+            h[r], h[top] = h[top], h[r]
+            for row in h:
+                row[r], row[top] = row[top], row[r]
+        pivot_inv = f.payload_inv(h[top][j])
+        for i in range(j + 2, n):
+            if h[i][j] != zero:
+                u = mul(h[i][j], pivot_inv)
+                h[i][j:] = [sub(a, mul(u, b)) for a, b in zip(h[i][j:], h[top][j:])]
+                for row in h:
+                    row[top] = add(row[top], mul(u, row[i]))
+    polys = [[one]]
+    for k in range(n):
+        prev, c = polys[k], neg(h[k][k])
+        cur = [mul(c, prev[0])] + [add(a, mul(c, b)) for a, b in zip(prev, prev[1:])] + [one]
+        t = one
+        for i in range(k - 1, -1, -1):
+            t = mul(t, h[i + 1][i])
+            if t == zero:
+                break
+            c = mul(t, h[i][k])
+            if c != zero:
+                for d, b in enumerate(polys[i]):
+                    cur[d] = sub(cur[d], mul(c, b))
+        polys.append(cur)
+    return Polynomial._of_payloads(f, polys[n])
 
 
 def _rref(rows: list[list], field: FieldDescriptor) -> tuple[list[list], list[int]]:
@@ -556,6 +582,20 @@ def solve(m: Matrix, b: StateVector) -> StateVector:
     for row, pc in zip(rref, pivots):
         x[pc] = row[m.cols]
     return StateVector._of(m.owner, m.cols, tuple(x))
+
+
+def _inverse(m: Matrix) -> Matrix:
+    """The inverse of an invertible square matrix: _rref of [m | I] leaves
+    [I | m^-1]."""
+    n, f = m.rows, m.owner
+    zero, one = f.zero_payload, f.payload_from_int(1)
+    rows = m._payload_rows()
+    for i, row in enumerate(rows):
+        row += [one if j == i else zero for j in range(n)]
+    rref, pivots = _rref(rows, f)
+    if pivots[-1] != n - 1:  # a pivot in the I half: m is singular
+        raise Inconsistent("singular matrix has no inverse")
+    return Matrix._of(f, (n, n), tuple([a for row in rref for a in row[n:]]))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ basis of non-isotropic vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 
@@ -31,22 +31,28 @@ from .forms import (
     EigenPair,
     Matrix,
     StateVector,
+    _inverse,
     conj_transpose,
     eigen_decompose,
     herm_form,
     is_hermitian,
     is_unitary,
-    solve,
 )
 from .starfield import Element, GaussianRationals
 
 
 @dataclass(frozen=True)
 class Observable:
-    """A Hermitian matrix bundled with its verified spectral data."""
+    """A Hermitian matrix bundled with its verified spectral data.
+
+    _basis_inverse caches the inverse of the eigenbasis matrix (the
+    eigenvectors as columns, pair by pair) from the first measure or
+    collapse on; equality, hashing and repr do not see it.
+    """
 
     matrix: Matrix
     spectrum: EigenDecomposition
+    _basis_inverse: Matrix | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def complete(self) -> bool:
@@ -107,9 +113,11 @@ class MeasurementReport:
 
 
 def _eigen_blocks(obs: Observable, psi: StateVector) -> list[tuple[EigenPair, StateVector]]:
-    """The checks measure and collapse share, then one solve for psi's
-    coordinates in the full eigenbasis (unique by completeness), split into
-    one coordinate vector per eigenpair, sliced as payloads."""
+    """The checks measure and collapse share, then psi's coordinates in the
+    full eigenbasis (unique by completeness), split into one coordinate
+    vector per eigenpair, sliced as payloads.  The coordinates are one
+    product with the eigenbasis inverse, computed on the observable's first
+    call and cached in it."""
     if psi.owner != obs.owner:
         raise FieldMismatch("state and observable live in different fields")
     if psi.dim != obs.dim:
@@ -119,8 +127,12 @@ def _eigen_blocks(obs: Observable, psi: StateVector) -> list[tuple[EigenPair, St
     if not obs.complete:
         raise IncompleteSpectrum("measurement needs a complete eigendecomposition")
     f = obs.owner
-    basis = [v for pair in obs.spectrum.pairs for v in pair.basis]
-    coeffs = iter(solve(Matrix.from_columns(f, basis), psi)._data)
+    inverse = obs._basis_inverse
+    if inverse is None:
+        basis = [v for pair in obs.spectrum.pairs for v in pair.basis]
+        inverse = _inverse(Matrix.from_columns(f, basis))
+        object.__setattr__(obs, "_basis_inverse", inverse)  # a cache; obs is frozen
+    coeffs = iter((inverse @ psi)._data)
     return [(pair, StateVector._of(f, pair.dimension, tuple(islice(coeffs, pair.dimension))))
             for pair in obs.spectrum.pairs]
 

@@ -23,15 +23,15 @@ That arithmetic has two routes to the same answers.  The polynomial route
 (_fppoly's mulmod, invmod and powmod on coefficient tuples, and
 coefficientwise sums mod p) always works.  The table route is a cache in
 front of it: a discrete-log table and an antilog table against a primitive
-element g, so that x*y = g^(log x + log y), 1/x = g^(-log x) and x^q =
-g^(q log x) are two lookups each (the discrete-log representation; Lidl
-and Niederreiter, Finite Fields, ch. 9).  Sums, differences and negation
-take the same tables plus a Zech-logarithm table zech[k] = log(1 + g^k):
-g^i + g^j = g^(i + zech[j - i]), and -x = g^(log x + (Q - 1)/2) for odd
-p (negation is the identity when p = 2).  Tables are shared by every
+element g, so that x*y = g^(log x + log y), 1/x = g^(-log x) and x^n =
+g^(n log x) (payload_pow; the involution is x^q) are two lookups each (the
+discrete-log representation; Lidl and Niederreiter, Finite Fields, ch. 9).
+Sums, differences and negation take the same tables plus a Zech-logarithm
+table zech[k] = log(1 + g^k): g^i + g^j = g^(i + zech[j - i]), and -x =
+g^(log x + (Q - 1)/2) for odd p (negation is the identity when p = 2).  Tables are shared by every
 descriptor with the same p and modulus, and are built only for fields of
 at most _TABLE_CAP elements, once that p and modulus has done as many
-polynomial-route products, inverses and conjugations as the field has
+polynomial-route products, inverses and powers as the field has
 elements.  The build (about that many products again) thus never costs
 more than work already done, and short-lived fields never pay for it.
 Sums never charge toward the build.  Payloads stay padded coefficient
@@ -56,7 +56,7 @@ import itertools
 import math
 import sys
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from typing import Iterator
 
 from . import _fppoly
@@ -384,6 +384,16 @@ class FpQuotientField(FieldDescriptor):
             return self._pad(_fppoly.invmod(_fppoly.trim(a), self.modulus, self.p))
         raise DivisionByZero(f"0 has no inverse in {self.shorthand()}")
 
+    def payload_pow(self, a, n: int):
+        """a^n for n >= 1: one table lookup, or _fppoly.powmod before the build."""
+        tables = self._tables
+        log = tables.log
+        if log is None:
+            tables.charge()
+            return self._pad(_fppoly.powmod(_fppoly.trim(a), n, self.modulus, self.p))
+        k = log[a]
+        return tables.exp[k * n % (self.order - 1)] if k >= 0 else a
+
     def payload_parse(self, s: str) -> tuple[int, ...]:
         return self._pad(_fppoly.parse_poly(s, self.p, self.modulus))
 
@@ -482,19 +492,20 @@ class QuadExt(FpQuotientField):
         super().__init__(p, modulus)
 
     def payload_involute(self, a):
-        tables = self._tables
-        log = tables.log
-        if log is None:
-            tables.charge()
-            return self._pad(_fppoly.powmod(_fppoly.trim(a), self.q, self.modulus, self.p))
-        k = log[a]
-        return tables.exp[k * self.q % (self.order - 1)] if k >= 0 else a
+        return self.payload_pow(a, self.q)
 
     def _fixed_field(self) -> tuple[Element, ...]:
-        """F_q as the image of the trace x -> x + x^gamma, which is F_p-linear
-        and maps onto F_q: all F_p-combinations of a basis of the traces of
-        1, t, ..., t^(2e-1), sorted into element order.  That is 2e
-        conjugations and a row reduction mod p; nothing enumerates F_{q^2}.
+        """F_q, every F_p-combination of _fixed_basis sorted into element
+        order; nothing enumerates F_{q^2}."""
+        return tuple(Element(self, a) for a in sorted(self._fixed_span()))
+
+    @cached_property
+    def _fixed_basis(self) -> tuple[tuple[int, ...], ...]:
+        """An F_p-basis of F_q, as payloads.
+
+        F_q is the image of the trace x -> x + x^gamma, which is F_p-linear
+        and maps onto F_q, so a row reduction mod p of the traces of 1, t,
+        ..., t^(2e-1) leaves a basis: 2e conjugations and no enumeration.
         """
         p, n = self.p, self.degree
         rows: list[tuple[int, list[int]]] = []  # (pivot, row) with row[pivot] = 1
@@ -508,10 +519,14 @@ class QuadExt(FpQuotientField):
             if pivot is not None:
                 inv = pow(v[pivot], -1, p)
                 rows.append((pivot, [a * inv % p for a in v]))
-        payloads = sorted(tuple(sum(c * row[i] for c, (_, row) in zip(cs, rows)) % p
-                                for i in range(n))
-                          for cs in itertools.product(range(p), repeat=len(rows)))
-        return tuple(Element(self, a) for a in payloads)
+        return tuple(tuple(row) for _, row in rows)
+
+    def _fixed_span(self) -> Iterator[tuple[int, ...]]:
+        """Every payload of F_q, lazily: the F_p-combinations of
+        _fixed_basis, zero first, not in element order."""
+        p, n, basis = self.p, self.degree, self._fixed_basis
+        for cs in itertools.product(range(p), repeat=len(basis)):
+            yield tuple(sum(c * row[i] for c, row in zip(cs, basis)) % p for i in range(n))
 
     def generator(self) -> Element:
         """The class of t, the canonical element outside the fixed field."""

@@ -22,6 +22,7 @@ from exactqt import (
     solve,
     square_is_linear,
 )
+from exactqt import starfield
 from exactqt._tower import TowerField
 from exactqt.embed import _build_inclusion
 from exactqt.errors import DimensionMismatch, FieldMismatch, ImproperField, NonSquare
@@ -206,6 +207,24 @@ def test_fixed_points_lists_a_lower_level_point_once():
     assert [(pt.level, pt.coordinates) for pt in report.points] == [
         (2, ("1", "1+t^3")), (2, ("1", "t"))]
     assert report.levels_scanned == (1, 2, 3, 4)
+
+
+def test_the_subfield_test_runs_on_payloads(monkeypatch):
+    """autocode._in_subfield builds no Element and agrees with c**order == c."""
+    rng = random.Random(71)
+    big = QuadExt(3, 3)
+    order = F9.order
+    inc = _build_inclusion(F9, 3)
+    vectors = [StateVector(big, [inc(random_element(rng, F9)) for _ in range(3)]) for _ in range(5)]
+    vectors += [random_state(rng, big, 3) for _ in range(5)]
+    expected = [all(c**order == c for c in v) for v in vectors]
+    assert True in expected and False in expected
+    built = []
+    init = starfield.Element.__init__
+    monkeypatch.setattr(starfield.Element, "__init__",
+                        lambda self, owner, payload: built.append(payload) or init(self, owner, payload))
+    assert [autocode._in_subfield(v, order) for v in vectors] == expected
+    assert built == []
 
 
 @functools.lru_cache(maxsize=None)

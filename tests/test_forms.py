@@ -32,7 +32,7 @@ from exactqt import (
     rank,
     solve,
 )
-from exactqt import _ffroots, _gaussint, starfield
+from exactqt import _ffroots, _gaussint, forms, starfield
 from exactqt.compose import tensor_op, tensor_state
 from exactqt._tower import tower_field
 from exactqt.errors import DimensionMismatch, FieldMismatch, Inconsistent, NonSquare
@@ -395,6 +395,81 @@ def test_characteristic_two_roots_split_over_an_f2_basis(monkeypatch):
         assert len(squarings) <= most
 
 
+FQ_ROOT_FIELDS = [QuadExt(p, e) for p, e in [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2),
+                                              (5, 1), (7, 1), (11, 1), (13, 1)]] + [PrimeField(7)]
+
+
+@st.composite
+def _fixed_coefficient_problems(draw, field):
+    """(poly, planted roots) over field: poly's coefficients are fixed by the
+    involution, and its roots lie in F_q, outside it, or both, or repeat."""
+    fixed = field.fixed_elements()
+    shape = draw(st.sampled_from(("inside", "outside", "mixed", "repeated")))
+    inside = [] if shape == "outside" else draw(st.lists(st.sampled_from(fixed), min_size=1,
+                                                          max_size=5))
+    if shape == "repeated":
+        inside += draw(st.lists(st.sampled_from(inside), min_size=1, max_size=3))
+    x = Polynomial(field, [0, 1])
+    poly = Polynomial(field, [draw(st.sampled_from(fixed[1:]))])
+    for r in inside:
+        poly = poly * (x - Polynomial(field, [r]))
+    planted = list(inside)
+    for _ in range(0 if shape in ("inside", "repeated") else draw(st.integers(1, 3))):
+        if field.involution_order == 1:  # F_p: a quadratic with no root in F_p
+            poly = poly * _rootless_quadratic(field, draw(st.sampled_from(fixed)))
+        else:  # (x - r)(x - r^q), r outside F_q
+            payload = draw(st.tuples(*[st.integers(0, field.p - 1)] * field.degree))
+            r = field.element(payload)
+            if r.is_fixed():
+                r = r + field.generator()
+            poly = poly * Polynomial(field, [r * r.conj(), -(r + r.conj()), 1])
+            planted += [r, r.conj()]
+    return poly, planted
+
+
+@pytest.mark.parametrize("field", FQ_ROOT_FIELDS, ids=str)
+@settings(max_examples=25)
+@given(data=st.data())
+def test_fixed_coefficient_roots_match_exhaustive_scan(field, data):
+    poly, planted = data.draw(_fixed_coefficient_problems(field))
+    assert all(c.is_fixed() for c in poly.coeffs)
+    found = poly.roots()
+    assert found == [x for x in field.elements() if poly.evaluate(x).is_zero()]
+    assert found == sorted(set(planted), key=lambda r: r.sort_key())
+
+
+def test_roots_in_the_fixed_field_split_over_it(monkeypatch):
+    """Five distinct F_25 roots over F_625: splitting with shifts in F_25 and
+    the exponent (25 - 1)/2 took 37 squarings mod a factor; the F_625 route
+    (exponent 312, shifts in payload order) took 91."""
+    squarings = []
+    sqrmod = _ffroots._Ring.sqrmod
+    monkeypatch.setattr(_ffroots._Ring, "sqrmod",
+                        lambda ring, a, m: squarings.append(m) or sqrmod(ring, a, m))
+    field = QuadExt(5, 2)
+    roots = field.fixed_elements()[1:6]
+    x = Polynomial(field, [0, 1])
+    poly = Polynomial(field, [1])
+    for r in roots:
+        poly = poly * (x - Polynomial(field, [r]))
+    assert poly.roots() == sorted(roots, key=lambda r: r.sort_key())
+    assert len(squarings) <= 91 // 2
+
+
+def test_fixed_coefficient_cubic_over_a_large_field_within_ceiling():
+    """F_q has 59,049 elements here: the roots come without listing it."""
+    start = time.monotonic()
+    field = QuadExt(3, 10)
+    t = field.generator()
+    x = Polynomial(field, [0, 1])
+    traces = [a + a.conj() for a in (t, t * t, t + field.one())]
+    split = functools.reduce(Polynomial.__mul__, [x - Polynomial(field, [c]) for c in traces])
+    mixed = (x - Polynomial(field, [traces[0]])) * Polynomial(field, [t * t.conj(), -(t + t.conj()), 1])
+    assert split.roots() == sorted(traces, key=lambda r: r.sort_key())
+    assert mixed.roots() == sorted([traces[0], t, t.conj()], key=lambda r: r.sort_key())
+    assert time.monotonic() - start <= 1.0
+
+
 def test_polynomial_operands_must_share_a_field():
     f9, f3 = QuadExt(3, 1), PrimeField(3)
     ops = [lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b,
@@ -535,13 +610,39 @@ def test_polynomial_arithmetic_matches_element_oracle(field, data):
 @settings(max_examples=30)
 @given(data=st.data())
 def test_char_poly_matches_element_bareiss(field, data):
-    n = data.draw(st.integers(1, 4))
+    n = data.draw(st.integers(1, 6))
     rows = data.draw(st.lists(st.lists(_ring_elements(field), min_size=n, max_size=n),
                               min_size=n, max_size=n))
     if n > 1 and data.draw(st.booleans()):  # singular: the last row a multiple of the first
         c = data.draw(_ring_elements(field))
         rows[-1] = [c * x for x in rows[0]]
     m = Matrix(field, rows)
+    assert char_poly(m) == _ref_char_poly(m)
+
+
+# Singular, zero, triangular, zero below the diagonal in the first column
+# only (Hessenberg skips it), a zero subdiagonal over a nonzero entry (a
+# row swap brings it up), and two permutation-like matrices that swap in
+# several columns.
+SHAPED_MATRICES = [
+    [[1, 2, 3], [2, 4, 6], [1, 1, 1]],
+    [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+    [[1, 1, 0, 2], [0, 2, 1, 0], [0, 0, 3, 1], [0, 0, 0, 1]],
+    [[2, 1, 1, 0], [0, 1, 0, 1], [0, 3, 1, 2], [0, 1, 1, 1]],
+    [[1, 2, 3], [0, 4, 5], [6, 7, 8]],
+    [[0, 1, 0, 0, 1], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [1, 0, 0, 0, 0], [0, 1, 1, 0, 2]],
+    [[1, 0, 0, 0, 0, 1], [0, 1, 0, 0, 0, 0], [0, 0, 0, 0, 1, 0], [0, 0, 1, 0, 0, 0],
+     [1, 1, 0, 0, 0, 0], [0, 0, 0, 1, 1, 1]],
+]
+
+
+@pytest.mark.parametrize("field", RING_FIELDS + [QuadExt(3, 2)], ids=str)
+@pytest.mark.parametrize("rows", SHAPED_MATRICES, ids=range(len(SHAPED_MATRICES)))
+def test_char_poly_of_shaped_matrices_matches_element_bareiss(field, rows):
+    m = Matrix(field, rows)
+    if field.involution_order == 2:  # entries outside the fixed field too
+        kappa = field.element("i" if field == QI else "t")
+        m = m + Matrix(field, [[kappa if a == 2 else 0 for a in row] for row in rows])
     assert char_poly(m) == _ref_char_poly(m)
 
 
@@ -1026,6 +1127,7 @@ def test_linear_algebra_builds_no_element_beyond_its_result(monkeypatch, field):
     calls = {
         "null_space": lambda: null_space(singular),
         "solve": lambda: solve(m, v),
+        "_inverse": lambda: forms._inverse(m),
         "matrix @ matrix": lambda: m @ singular,
         "matrix @ vector": lambda: m @ v,
         "identity": lambda: Matrix.identity(field, 4),
@@ -1046,6 +1148,18 @@ def test_linear_algebra_builds_no_element_beyond_its_result(monkeypatch, field):
         assert _field_calls(monkeypatch, call)[:2] == (0, 0), name
     built, coerced, value = _field_calls(monkeypatch, lambda: herm_form(v, w))
     assert (built, coerced) == (1, 0) and value == _ref_herm_form(v, w)
+
+
+@pytest.mark.parametrize("field", [PrimeField(7), F9, QuadExt(2, 4), QI], ids=str)
+def test_inverse_is_two_sided_and_refuses_a_singular_matrix(field):
+    rng = random.Random(43)
+    m = random_matrix(rng, field, 4, 4)
+    while rank(m) < 4:
+        m = random_matrix(rng, field, 4, 4)
+    inverse, identity = forms._inverse(m), Matrix.identity(field, 4)
+    assert inverse @ m == identity and m @ inverse == identity
+    with pytest.raises(Inconsistent):
+        forms._inverse(Matrix(field, list(m.entries[:3]) + [m.entries[1]]))
 
 
 def test_the_closure_search_builds_no_element(monkeypatch):

@@ -256,3 +256,31 @@ def test_observable_spectrum_is_cached_and_exposed():
     assert obs.dim == 3
     dims = {str(p.value): p.dimension for p in obs.spectrum.pairs}
     assert dims == {"1": 2, "2": 1}
+
+
+def test_measure_and_collapses_invert_the_eigenbasis_once(monkeypatch):
+    rng = random.Random(59)
+    field = QuadExt(5, 2)
+    obs = make_observable(random_observable_matrix(rng, field, 4))
+    psi = random_state(rng, field, 4)
+    inversions = []
+    inverse = qcore._inverse
+    monkeypatch.setattr(qcore, "_inverse", lambda m: inversions.append(m) or inverse(m))
+    report = measure(obs, psi)
+    possible = [o.eigenvalue for o in report.outcomes if o.modal_possible]
+    for lam in possible + possible:
+        assert collapse(obs, psi, lam) == report.outcome_for(lam).projected_state
+    assert len(possible) >= 2 and len(inversions) == 1
+    fresh = make_observable(obs.matrix)
+    collapse(fresh, psi, possible[0])
+    assert len(inversions) == 2
+
+
+@pytest.mark.parametrize("field", [F9, F25, QI], ids=str)
+def test_a_measured_observable_equals_a_fresh_one(field):
+    rng = random.Random(61)
+    m = random_observable_matrix(rng, field, 3)
+    measured, fresh = make_observable(m), make_observable(m)
+    measure(measured, random_state(rng, field, 3))
+    assert measured._basis_inverse is not None and fresh._basis_inverse is None
+    assert measured == fresh and repr(measured) == repr(fresh) and hash(measured) == hash(fresh)

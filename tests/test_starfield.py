@@ -534,6 +534,9 @@ def test_table_route_matches_the_polynomial_route(warmed, data):
     assert (x * y).payload == product
     assert ((x + y).payload, (x - y).payload, (-x).payload) == sums
     assert x.conj().payload == image
+    n = data.draw(st.integers(1, 3 * field.order))
+    assert field.payload_pow(x.payload, n) == field._pad(
+        _fppoly.powmod(_fppoly.trim(x.payload), n, field.modulus, field.p))
     if inverse is None:
         with pytest.raises(DivisionByZero):
             x.inverse()
