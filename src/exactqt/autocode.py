@@ -18,12 +18,12 @@ flags only a linear map's incomplete spectrum.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
+from ._record import _Record
 from .embed import _inclusion, extend_matrix
 from .errors import DimensionMismatch, FieldMismatch, ImproperField, NonSquare, WrongField
 from .forms import Matrix, StateVector, eigen_decompose, rank
-from .jsonio import _Record, matrix_to_json
+from .jsonio import matrix_to_json
 from .sampling import _norm_preimage
 from .starfield import Element, QuadExt
 
@@ -33,8 +33,7 @@ from .starfield import Element, QuadExt
 SCAN_LIMIT = 20000
 
 
-@dataclass(frozen=True)
-class SemilinearMap:
+class SemilinearMap(_Record):
     """An invertible-by-intent map psi -> matrix @ psi^(gamma^twist)."""
 
     matrix: Matrix
@@ -87,7 +86,6 @@ def square_is_linear(phi: SemilinearMap) -> bool:
     return phi.compose(phi).twist == 0
 
 
-@dataclass(frozen=True)
 class ProjectivePoint(_Record):
     """A normalized projective representative fixed by the extended map."""
 
@@ -97,7 +95,6 @@ class ProjectivePoint(_Record):
     form_compatible: bool
 
 
-@dataclass(frozen=True)
 class FixedPointReport(_Record):
     twist: int
     max_ext: int

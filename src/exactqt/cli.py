@@ -4,7 +4,8 @@ All results are canonical JSON on stdout.  Exit codes: 0 success, 1 a
 domain error (reported as an error object), 2 usage errors from argparse.
 Vector, matrix, and map arguments accept a path to a JSON file, inline
 JSON, or compact text ("1,t" for vectors, "0,t;2t,0" for matrices) next
-to --field.
+to --field.  Each handler imports the modules it runs, so that a one-shot
+call loads only its own subcommand's layers.
 """
 
 from __future__ import annotations
@@ -16,20 +17,11 @@ import sys
 
 from . import __version__
 from ._intnum import is_prime
-from .autocode import SCAN_LIMIT, SemilinearMap, fixed_points
-from .compose import BipartiteState, is_product, no_cloning_witness, tensor_state
-from .embed import build_embedding
 from .errors import ExactQTError
-from .forms import Matrix, StateVector, eigen_decompose, herm_form, is_hermitian, is_unitary
-from .jsonio import (bipartite_from_json, bipartite_to_json, dumps_canonical,
-                     matrix_from_json, vector_from_json, vector_to_json)
-from .lefschetz import curves_meet, eval_closure, lefschetz_sample, parse_sentence, pretty
-from .qcore import evolve, make_observable, measure
-from .selftest import run_selftest
-from .starfield import GaussianRationals, QuadExt, parse_field
 
 
 def _need_field(args) -> object:
+    from .starfield import parse_field
     if args.field is None:
         raise ValueError("compact entries need --field")
     return parse_field(args.field)
@@ -43,6 +35,8 @@ def _read_maybe_file(text: str) -> str:
 
 
 def _load_vector(text: str, args) -> StateVector:
+    from .forms import StateVector
+    from .jsonio import vector_from_json
     text = _read_maybe_file(text)
     if text.lstrip().startswith("{"):
         return vector_from_json(json.loads(text))
@@ -50,6 +44,8 @@ def _load_vector(text: str, args) -> StateVector:
 
 
 def _load_matrix(text: str, args) -> Matrix:
+    from .forms import Matrix
+    from .jsonio import matrix_from_json
     text = _read_maybe_file(text)
     if text.lstrip().startswith("{"):
         return matrix_from_json(json.loads(text))
@@ -58,6 +54,7 @@ def _load_matrix(text: str, args) -> Matrix:
 
 
 def _cmd_field_info(args) -> dict:
+    from .starfield import GaussianRationals, QuadExt, parse_field
     f = parse_field(args.field)
     out = {
         "field": f.to_json(),
@@ -75,20 +72,24 @@ def _cmd_field_info(args) -> dict:
 
 
 def _cmd_form(args) -> dict:
+    from .forms import herm_form
     x = _load_vector(args.left, args)
     y = _load_vector(args.right, args)
     return {"value": str(herm_form(x, y)), "field": x.owner.to_json()}
 
 
 def _cmd_unitary_check(args) -> dict:
+    from .forms import is_unitary
     return {"unitary": is_unitary(_load_matrix(args.matrix, args))}
 
 
 def _cmd_hermitian_check(args) -> dict:
+    from .forms import is_hermitian
     return {"hermitian": is_hermitian(_load_matrix(args.matrix, args))}
 
 
 def _cmd_eigen(args) -> dict:
+    from .forms import eigen_decompose
     dec = eigen_decompose(_load_matrix(args.matrix, args))
     return {
         "complete": dec.complete,
@@ -102,6 +103,7 @@ def _cmd_eigen(args) -> dict:
 
 
 def _cmd_measure(args) -> dict:
+    from .qcore import make_observable, measure
     obs = make_observable(_load_matrix(args.obs, args))
     psi = _load_vector(args.state, args)
     rep = measure(obs, psi)
@@ -117,18 +119,24 @@ def _cmd_measure(args) -> dict:
 
 
 def _cmd_evolve(args) -> dict:
+    from .jsonio import vector_to_json
+    from .qcore import evolve
     u = _load_matrix(args.matrix, args)
     psi = _load_vector(args.state, args)
     return {"state": vector_to_json(evolve(u, psi))}
 
 
 def _cmd_tensor(args) -> dict:
+    from .compose import tensor_state
+    from .jsonio import bipartite_to_json
     x = _load_vector(args.left, args)
     y = _load_vector(args.right, args)
     return {"state": bipartite_to_json(tensor_state(x, y))}
 
 
 def _load_bipartite(args) -> BipartiteState:
+    from .compose import BipartiteState
+    from .jsonio import bipartite_from_json
     text = _read_maybe_file(args.state)
     if text.lstrip().startswith("{"):
         return bipartite_from_json(json.loads(text))
@@ -139,6 +147,7 @@ def _load_bipartite(args) -> BipartiteState:
 
 
 def _cmd_schmidt(args) -> dict:
+    from .compose import is_product
     state = _load_bipartite(args)
     ok, factors = is_product(state)
     return {
@@ -149,10 +158,14 @@ def _cmd_schmidt(args) -> dict:
 
 
 def _cmd_noclone(args) -> dict:
+    from .compose import no_cloning_witness
+    from .starfield import parse_field
     return no_cloning_witness(parse_field(args.field), args.dim).to_json()
 
 
 def _cmd_embed(args) -> dict:
+    from .embed import build_embedding
+    from .starfield import QuadExt, parse_field
     f = parse_field(args.source)
     if not isinstance(f, QuadExt):
         raise ValueError("embeddings start from a quadext field")
@@ -184,6 +197,7 @@ def _parse_primes(text: str) -> tuple[int, ...]:
 
 
 def _cmd_lefschetz_eval(args) -> dict:
+    from .lefschetz import eval_closure, parse_sentence, pretty
     ast = parse_sentence(args.sentence)
     verdict = eval_closure(ast, args.p, max_level=args.expand, ambient_bound=args.levels)
     return {
@@ -197,17 +211,21 @@ def _cmd_lefschetz_eval(args) -> dict:
 
 
 def _cmd_lefschetz_sample(args) -> dict:
+    from .lefschetz import lefschetz_sample
     report = lefschetz_sample(args.sentence, primes=_parse_primes(args.primes),
                               max_level=args.expand, ambient_bound=args.levels)
     return report.to_json()
 
 
 def _cmd_curves_meet(args) -> dict:
+    from .lefschetz import curves_meet
     rep = curves_meet(args.prime, args.f, args.g, args.max_level)
     return {"f": args.f, "g": args.g, "prime": args.prime, "report": rep.to_json()}
 
 
 def _cmd_fixpoints(args) -> dict:
+    from .autocode import SCAN_LIMIT, SemilinearMap, fixed_points
+    from .jsonio import matrix_from_json
     obj = json.loads(_read_maybe_file(args.map))
     twist = obj.get("aut_exponent") if isinstance(obj, dict) else None
     if type(twist) is not int or twist not in (0, 1):
@@ -221,6 +239,7 @@ def _cmd_fixpoints(args) -> dict:
 
 
 def _cmd_selftest(_args) -> dict:
+    from .selftest import run_selftest
     return run_selftest()
 
 
@@ -335,6 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def entrypoint(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    from .jsonio import dumps_canonical
     try:
         out = args.fn(args)
     except (ExactQTError, ValueError, ArithmeticError, json.JSONDecodeError) as exc:

@@ -7,15 +7,14 @@ follow the matching block convention, so (A tensor B)(x tensor y) equals
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
+from ._record import _Record
 from .errors import DimensionMismatch, FieldMismatch, ZeroState
 from .forms import Matrix, StateVector, rank
 from .starfield import FieldDescriptor
 
 
-@dataclass(frozen=True)
-class BipartiteState:
+class BipartiteState(_Record):
     """A nonzero vector of length d1*d2 remembering its factor dimensions."""
 
     dims: tuple[int, int]
@@ -77,8 +76,7 @@ def is_product(state: BipartiteState) -> tuple[bool, tuple[StateVector, StateVec
     return True, (left, right)
 
 
-@dataclass(frozen=True)
-class NoCloningWitness:
+class NoCloningWitness(_Record):
     """A linearity obstruction to cloning a specific superposition.
 
     The candidate cloner is pinned on the basis inputs e_k tensor e_1 by

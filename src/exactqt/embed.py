@@ -12,16 +12,14 @@ inclusion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
+from ._record import _Record
 from ._tower import _eval_at, _generator_image
 from .errors import EvenExtensionDegree, WrongField
 from .forms import Matrix, StateVector
-from .jsonio import _Record
 from .starfield import Element, QuadExt
 
 
-@dataclass(frozen=True)
 class EmbeddingCertificate(_Record):
     """Transcript of the exhaustive checks run on a finished embedding."""
 

@@ -33,12 +33,12 @@ are sorted as Gaussian integers before any element is built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
 
 from ._ffroots import _Ring, field_roots
 from ._gaussint import gaussian_root_candidates
+from ._record import _Record
 from .errors import DimensionMismatch, FieldMismatch, Inconsistent, NonSquare
 from .starfield import Element, FieldDescriptor, GaussianRationals
 
@@ -598,8 +598,7 @@ def _inverse(m: Matrix) -> Matrix:
     return Matrix._of(f, (n, n), tuple([a for row in rref for a in row[n:]]))
 
 
-@dataclass(frozen=True)
-class EigenPair:
+class EigenPair(_Record):
     value: Element
     basis: tuple[StateVector, ...]
 
@@ -608,8 +607,7 @@ class EigenPair:
         return len(self.basis)
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
+class EigenDecomposition(_Record):
     pairs: tuple[EigenPair, ...]
     complete: bool
 

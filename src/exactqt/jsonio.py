@@ -8,32 +8,14 @@ and indentation so equal objects serialize byte-identically.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 
-from .compose import BipartiteState
 from .forms import Matrix, StateVector
 from .starfield import FieldDescriptor, parse_field
 
 
 def dumps_canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
-class _Record:
-    """Report dataclass base: to_json maps field names, in declaration order,
-    to values, writing tuples as lists and nested records as their to_json."""
-
-    def to_json(self) -> dict:
-        return {f.name: _plain(getattr(self, f.name)) for f in dataclasses.fields(self)}
-
-
-def _plain(value):
-    if isinstance(value, _Record):
-        return value.to_json()
-    if isinstance(value, tuple):
-        return [_plain(v) for v in value]
-    return value
 
 
 def matrix_to_json(m: Matrix) -> dict:
@@ -95,6 +77,7 @@ def vector_from_json(obj: dict) -> StateVector:
 
 
 def bipartite_from_json(obj: dict) -> BipartiteState:
+    from .compose import BipartiteState  # here, so that loading a matrix skips compose
     v = vector_from_json(obj)
     dims = obj.get("dims")
     if not (isinstance(dims, (list, tuple)) and len(dims) == 2):

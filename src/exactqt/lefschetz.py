@@ -32,31 +32,27 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import and_, eq, itemgetter, or_
 from typing import Callable, NamedTuple
 
 from ._ffroots import _Ring, field_roots
+from ._record import _Record
 from ._tower import lift_payload, tower_field
 from .errors import NotHomogeneous, ParseError
 from .forms import Polynomial
-from .jsonio import _Record
 from .starfield import _TABLE_CAP, Element, FieldDescriptor, PrimeField
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(_Record):
     name: str
 
 
-@dataclass(frozen=True)
-class Lit:
+class Lit(_Record):
     value: int
 
 
-@dataclass(frozen=True)
-class _Binary:
+class _Binary(_Record):
     """The two-child nodes: the term operators, equations and connectives."""
 
     left: object
@@ -87,13 +83,11 @@ class Or(_Binary):
     pass
 
 
-@dataclass(frozen=True)
-class Not:
+class Not(_Record):
     body: object
 
 
-@dataclass(frozen=True)
-class _Quantifier:
+class _Quantifier(_Record):
     var: str
     body: object
 
@@ -780,7 +774,6 @@ def eval_finite(sentence, field: FieldDescriptor) -> bool:
     return _search(stripped, lambda n: field, lambda n: ([n], False))[0]
 
 
-@dataclass(frozen=True)
 class TowerVerdict(_Record):
     """Outcome of a bounded closure search.  value None means Unknown."""
 
@@ -817,8 +810,7 @@ def eval_closure(sentence, p: int, max_level: int = 2, ambient_bound: int = 4) -
     return TowerVerdict(value, certified, level, witness)
 
 
-@dataclass(frozen=True)
-class SampleReport:
+class SampleReport(_Record):
     """Per-prime closure verdicts for one sentence, with a summary."""
 
     sentence: str
@@ -1075,7 +1067,6 @@ def _z_resultant(f: TernaryForm, g: TernaryForm) -> list | None:
     return rows[n - 1][n - 1] or None
 
 
-@dataclass(frozen=True)
 class CurvesMeetReport(_Record):
     """Result of searching extension levels for a common projective zero."""
 

@@ -10,10 +10,10 @@ basis of non-isotropic vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 
+from ._record import _Record
 from .errors import (
     DimensionMismatch,
     FieldMismatch,
@@ -41,18 +41,18 @@ from .forms import (
 from .starfield import Element, GaussianRationals
 
 
-@dataclass(frozen=True)
-class Observable:
+class Observable(_Record):
     """A Hermitian matrix bundled with its verified spectral data.
 
     _basis_inverse caches the inverse of the eigenbasis matrix (the
     eigenvectors as columns, pair by pair) from the first measure or
-    collapse on; equality, hashing and repr do not see it.
+    collapse on.  It is a class attribute, not a field, so equality,
+    hashing and repr do not see it.
     """
 
     matrix: Matrix
     spectrum: EigenDecomposition
-    _basis_inverse: Matrix | None = field(default=None, init=False, repr=False, compare=False)
+    _basis_inverse = None
 
     @property
     def complete(self) -> bool:
@@ -88,8 +88,7 @@ def evolve(u: Matrix, psi: StateVector) -> StateVector:
     return u @ psi
 
 
-@dataclass(frozen=True)
-class MeasurementOutcome:
+class MeasurementOutcome(_Record):
     eigenvalue: Element
     projected_state: StateVector
     modal_possible: bool
@@ -100,8 +99,7 @@ class MeasurementOutcome:
         return self.born_weight is not None
 
 
-@dataclass(frozen=True)
-class MeasurementReport:
+class MeasurementReport(_Record):
     outcomes: tuple[MeasurementOutcome, ...]
     total_form_value: Element
 

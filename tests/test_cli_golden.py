@@ -6,6 +6,10 @@ three malformed-document cases that exit 1 with a ValueError.  The calls
 run in-process through `entrypoint`, so a refactor that changes one output
 byte, one exit code or the order of any listed element fails here.
 
+The same cases replay once more, one per leaf subcommand, through
+`python -m exactqt` in a fresh child: in-process every module is already
+loaded, so only a child shows that each subcommand imports what it runs.
+
 A case is recorded before the source it covers is edited: run
 `entrypoint(argv)` in-process on the unchanged tree with stdout captured
 (contextlib.redirect_stdout), append {"argv": argv, "exit": code,
@@ -15,6 +19,8 @@ their bytes.
 """
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -30,3 +36,44 @@ def test_cli_replays_golden_transcript(capsys, case):
     code = entrypoint(case["argv"])
     assert capsys.readouterr().out == case["stdout"]
     assert code == case["exit"]
+
+
+LEAF_COMMANDS = [
+    "field info", "form", "unitary-check", "hermitian-check", "eigen", "measure", "evolve",
+    "tensor", "schmidt", "noclone", "embed", "lefschetz eval", "lefschetz sample",
+    "curves-meet", "fixpoints", "selftest",
+]
+
+
+def _leaf(argv: list) -> str:
+    return " ".join(argv[:2]) if argv[0] in ("field", "lefschetz") else argv[0]
+
+
+FIRST_CASE = {}
+for _case in CASES:
+    FIRST_CASE.setdefault(_leaf(_case["argv"]), _case)
+
+
+def test_golden_transcript_covers_every_leaf_subcommand():
+    assert sorted(FIRST_CASE) == sorted(LEAF_COMMANDS)
+
+
+def _child(argv: list) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-m", "exactqt", *argv], capture_output=True,
+                          timeout=120)
+
+
+@pytest.mark.parametrize("leaf", LEAF_COMMANDS)
+def test_fresh_child_replays_golden_case(leaf):
+    case = FIRST_CASE[leaf]
+    proc = _child(case["argv"])
+    assert proc.stdout == case["stdout"].encode("utf-8")
+    assert proc.returncode == case["exit"]
+
+
+def test_fresh_child_prints_version(capsys):
+    with pytest.raises(SystemExit) as exc:
+        entrypoint(["--version"])
+    proc = _child(["--version"])
+    assert proc.stdout == capsys.readouterr().out.encode("utf-8")
+    assert proc.returncode == exc.value.code == 0

@@ -1,4 +1,4 @@
-"""Report records serialize field by field through jsonio._Record."""
+"""Report records serialize field by field through the record base, _record._Record."""
 
 import pytest
 
