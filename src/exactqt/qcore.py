@@ -3,9 +3,11 @@
 States are nonzero vectors taken projectively; isotropic states (nonzero x
 with <x, x> = 0) are unavoidable over F_{q^2} and are admitted everywhere.
 Measurement reports two layers per outcome: the modal layer (is the
-projection nonzero at all) and the Born layer (an exact form-valued weight),
-where the latter is only defined when the eigenspace admits an orthogonal
-basis of non-isotropic vectors.
+projection nonzero at all) and the Born layer (an exact form-valued weight
+<P psi, P psi>, P the orthogonal projector onto the eigenspace), defined
+exactly when the eigenvalue is fixed by the involution.  The eigenspace
+need not have an orthogonal basis of non-isotropic vectors: over F_2 the
+span of (1,1,0) and (1,0,1) has none, yet its projector exists.
 """
 
 from __future__ import annotations
@@ -89,6 +91,10 @@ def evolve(u: Matrix, psi: StateVector) -> StateVector:
 
 
 class MeasurementOutcome(_Record):
+    """One eigenvalue of a measurement: psi's projection onto its eigenspace,
+    whether that projection is nonzero, and the Born weight <P psi, P psi>,
+    None when the eigenvalue is not fixed (its eigenspace is isotropic)."""
+
     eigenvalue: Element
     projected_state: StateVector
     modal_possible: bool
@@ -140,44 +146,26 @@ def _project(pair: EigenPair, coords: StateVector) -> StateVector:
     return Matrix.from_columns(coords.owner, pair.basis) @ coords
 
 
-def _orthogonalize(basis: tuple[StateVector, ...]) -> list[tuple[StateVector, Element]] | None:
-    """Greedy Gram-Schmidt in input order: each orthogonal vector u with its
-    <u, u>, computed once; None on an isotropic pivot.
-
-    No reordering heuristics: the first vanishing <u, u> aborts, which keeps
-    the procedure deterministic and surfaces genuinely isotropic eigenspaces.
-    """
-    ortho: list[tuple[StateVector, Element]] = []
-    for v in basis:
-        u = v
-        for w, norm in ortho:
-            u = u - w.scale(herm_form(w, u) / norm)
-        norm = herm_form(u, u)
-        if norm.is_zero():
-            return None
-        ortho.append((u, norm))
-    return ortho
-
-
 def measure(obs: Observable, psi: StateVector) -> MeasurementReport:
     """Exact measurement report for a complete observable and nonzero state.
 
     Per eigenvalue: the projection of psi obtained from the full-eigenbasis
     decomposition, the modal verdict (projection nonzero), and the Born
-    weight sum(involute(c) * c / <b, b>) over an orthogonalized eigenspace
-    basis with c = <b, psi>, or None when orthogonalization hits an
-    isotropic pivot.  Weights, when all defined, sum to <psi, psi>.
+    weight <P psi, P psi>, or None when the eigenvalue is not fixed.
+
+    H is Hermitian, so Hv = lam v and Hw = mu w give (conj(lam) - mu)<v, w> = 0.
+    For lam fixed, E_lam is orthogonal to every other eigenspace.  The spectrum
+    is complete, so V = E_lam + (the rest), and the form, nondegenerate on V,
+    is nondegenerate on E_lam: the orthogonal projector P onto E_lam exists,
+    the projection computed here is P psi, and <psi, P psi> = <P psi, P psi>.
+    That is c* G^-1 c for any basis B of E_lam, with G = B*B and c = B* psi,
+    so no basis order enters.  For lam not fixed, E_lam is totally isotropic
+    (G = 0) and has no weight.  Weights, when all defined, sum to <psi, psi>.
     """
     outcomes = []
     for pair, coords in _eigen_blocks(obs, psi):
         projected = _project(pair, coords)
-        ortho = _orthogonalize(pair.basis)
-        weight = None
-        if ortho is not None:
-            weight = obs.owner.zero()
-            for b, norm in ortho:
-                c = herm_form(b, psi)
-                weight = weight + c.conj() * c / norm
+        weight = herm_form(projected, projected) if pair.value.is_fixed() else None
         outcomes.append(
             MeasurementOutcome(pair.value, projected, not projected.is_zero(), weight)
         )

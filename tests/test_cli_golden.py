@@ -16,6 +16,13 @@ A case is recorded before the source it covers is edited: run
 "stdout": captured} to the list, and write the file back as
 json.dumps(cases, indent=1) followed by a newline, so the old cases keep
 their bytes.
+
+An intended change to an existing case's output is made on the changed
+tree: run `entrypoint(case["argv"])` in-process the same way, check that
+the exit code is unchanged, replace only that case's "stdout" with the
+captured text, and write the file back as above, so every other case keeps
+its bytes.  The old stdout, the new stdout and the reason for the change
+go into CHANGES.md.
 """
 
 import json

@@ -1,23 +1,35 @@
-"""Observables, measurement reports, collapse, and unitary evolution."""
+"""Observables, measurement reports, collapse, and unitary evolution.
+
+The Born weights are checked against two routes the library does not take:
+c* G^-1 c from the Gram matrix G = B*B of the eigenbasis B, and greedy
+Gram-Schmidt in basis order (the old route, kept here as an oracle), whose
+weight must agree wherever it finds one.
+"""
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from exactqt import (
     GaussianRationals,
     Matrix,
+    PrimeField,
     QuadExt,
     StateVector,
     collapse,
+    conj_transpose,
     evolve,
     herm_form,
     involute,
     make_observable,
     measure,
+    parse_field,
     probability_profile,
     projector_onto,
+    rank,
+    solve,
 )
 from exactqt import qcore
 from exactqt.errors import (
@@ -31,6 +43,7 @@ from exactqt.errors import (
 )
 from exactqt.sampling import (
     fixed_pool,
+    random_hermitian,
     random_observable_matrix,
     random_state,
     random_unitary,
@@ -46,11 +59,10 @@ def test_make_observable_demands_hermitian():
         make_observable(Matrix(F9, [["0", "1"], ["t", "0"]]))
 
 
-@pytest.mark.parametrize("eigenvalues, calls", [((0, 1, 2, 3, 4), 11), ((0, 0, 2, 3, 4), 12)])
+@pytest.mark.parametrize("eigenvalues, calls", [((0, 1, 2, 3, 4), 6), ((0, 0, 2, 3, 4), 5)])
 def test_measure_computes_each_form_value_once(monkeypatch, eigenvalues, calls):
-    """Over F_625 at dim 5: one <b, b> per orthogonalized vector b, shared by
-    the Gram-Schmidt step and the Born weight, one <b, psi> per vector, one
-    <w, v> per Gram-Schmidt projection, and <psi, psi> once."""
+    """Over F_625 at dim 5: one <P psi, P psi> per outcome, on its
+    projection, and <psi, psi> once."""
     f = QuadExt(5, 2)
     obs = make_observable(Matrix.diagonal(f, eigenvalues))
     psi = StateVector(f, ["1", "t", "2", "1+t", "3"])
@@ -63,11 +75,126 @@ def test_measure_computes_each_form_value_once(monkeypatch, eigenvalues, calls):
     monkeypatch.setattr(qcore, "herm_form", counting)
     report = measure(obs, psi)
     assert len(seen) == calls
-    assert sum(x == y != psi for x, y in seen) == 5
-    assert sum(y == psi != x for x, y in seen) == 5
+    assert [x for x, y in seen if x == y != psi] == [o.projected_state for o in report.outcomes]
     assert seen.count((psi, psi)) == 1
     weights = [o.born_weight for o in report.outcomes]
     assert sum(weights[1:], weights[0]) == report.total_form_value
+
+
+def _orthogonalize(basis):
+    """Greedy Gram-Schmidt in input order: each orthogonal vector u with its
+    <u, u>; None on an isotropic pivot."""
+    ortho = []
+    for v in basis:
+        u = v
+        for w, norm in ortho:
+            u = u - w.scale(herm_form(w, u) / norm)
+        norm = herm_form(u, u)
+        if norm.is_zero():
+            return None
+        ortho.append((u, norm))
+    return ortho
+
+
+def _greedy_weight(basis, psi):
+    """The old route: sum of N(<u, psi>) / <u, u> over the greedy basis."""
+    ortho = _orthogonalize(basis)
+    if ortho is None:
+        return None
+    weight = psi.owner.zero()
+    for u, norm in ortho:
+        c = herm_form(u, psi)
+        weight = weight + c.conj() * c / norm
+    return weight
+
+
+def _gram_weight(basis, psi):
+    """c* G^-1 c with G = B*B and c = B* psi, or None when G is singular."""
+    b = Matrix.from_columns(psi.owner, basis)
+    gram, c = conj_transpose(b) @ b, conj_transpose(b) @ psi
+    if rank(gram) < len(basis):
+        return None
+    return herm_form(c, solve(gram, c))
+
+
+ORACLE_FIELDS = [PrimeField(2), PrimeField(5), F9, QuadExt(2, 2), F25, QuadExt(7, 1), QI]
+
+
+def _draw_observable(rng, field, dim, hermitian):
+    """A random Hermitian matrix with complete spectrum (finite fields only:
+    over Q(i) one is next to never complete), else U diag(lams) U* with lams
+    drawn with repetition from at most three fixed elements."""
+    if hermitian and not isinstance(field, GaussianRationals):
+        while True:
+            obs = make_observable(random_hermitian(rng, field, dim))
+            if obs.complete:
+                return obs
+    pool = fixed_pool(field, 2)[:3]
+    lams = [pool[rng.randrange(len(pool))] for _ in range(dim)]
+    u = random_unitary(rng, field, dim)
+    return make_observable(u @ Matrix.diagonal(field, lams) @ conj_transpose(u))
+
+
+@settings(max_examples=300)
+@given(field=st.sampled_from(ORACLE_FIELDS), dim=st.integers(2, 4), hermitian=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_born_weight_is_the_projector_weight(field, dim, hermitian, seed):
+    rng = random.Random(seed)
+    obs = _draw_observable(rng, field, dim, hermitian)
+    psi = random_state(rng, field, dim)
+    report = measure(obs, psi)
+    for pair, outcome in zip(obs.spectrum.pairs, report.outcomes):
+        assert outcome.born_weight == _gram_weight(pair.basis, psi)
+        assert outcome.weight_defined == pair.value.is_fixed()
+        greedy = _greedy_weight(pair.basis, psi)
+        if greedy is not None:
+            assert outcome.born_weight == greedy
+
+
+def _pinned(spec, rows, state):
+    f = parse_field(spec)
+    obs = make_observable(Matrix(f, [row.split(",") for row in rows.split(";")]))
+    return obs, StateVector(f, state.split(","))
+
+
+def test_alternating_eigenspace_over_f2_has_a_projector_weight():
+    """Over F_2, E_0 of the all-ones J is span{(1,1,0), (1,0,1)}, G is
+    [[0, 1], [1, 0]] and every vector of E_0 is isotropic, so no orthogonal
+    non-isotropic basis exists and greedy finds no weight.  The projector
+    P = B G^-1 B* does exist, and its weight <P psi, P psi> is reported."""
+    obs, psi = _pinned("prime:2", "1,1,1;1,1,1;1,1,1", "0,1,0")
+    f = psi.owner
+    zero_space = obs.spectrum.pairs[0]
+    assert str(zero_space.value) == "0" and zero_space.dimension == 2
+    b = Matrix.from_columns(f, zero_space.basis)
+    gram = conj_transpose(b) @ b
+    assert gram == Matrix(f, [["0", "1"], ["1", "0"]])
+    for x, y in [(0, 1), (1, 0), (1, 1)]:
+        v = b @ StateVector(f, [x, y])
+        assert herm_form(v, v).is_zero()
+    assert _greedy_weight(zero_space.basis, psi) is None
+    b_star = conj_transpose(b)
+    p = b @ Matrix.from_columns(f, [solve(gram, b_star.column(j)) for j in range(3)])
+    assert p @ p == p and conj_transpose(p) == p and p @ b == b
+    report = measure(obs, psi)
+    zero, one = report.outcomes
+    assert zero.projected_state == p @ psi
+    assert (str(zero.born_weight), str(one.born_weight)) == ("0", "1")
+    assert zero.born_weight + one.born_weight == report.total_form_value == f.one()
+
+
+@pytest.mark.parametrize("spec, rows, state, eigenvalue, weight", [
+    ("prime:5", "1,4,1;4,2,2;1,2,2", "0,3,2", "4", "2"),
+    ("quadext:3:1", "1,1+t,2t;1+2t,2,2+2t;t,2+t,1", "0,t,2+t", "0", "2"),
+], ids=["prime:5", "quadext:3:1"])
+def test_weight_where_greedy_meets_an_isotropic_pivot(spec, rows, state, eigenvalue, weight):
+    """A 2-dim nondegenerate eigenspace on which greedy Gram-Schmidt, in
+    null_space order, meets an isotropic pivot."""
+    obs, psi = _pinned(spec, rows, state)
+    outcome = measure(obs, psi).outcome_for(psi.owner.element(eigenvalue))
+    pair = next(p for p in obs.spectrum.pairs if p.value == outcome.eigenvalue)
+    assert pair.dimension == 2 and _greedy_weight(pair.basis, psi) is None
+    assert str(outcome.born_weight) == weight == str(_gram_weight(pair.basis, psi))
 
 
 def test_f9_reference_measurement():
